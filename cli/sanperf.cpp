@@ -130,7 +130,8 @@ core::Scale parse_scale(const std::string& name) {
 std::string axis_domain(const core::ParamAxis& axis) {
   std::string out;
   for (const auto& v : axis.values()) {
-    out += (out.empty() ? "" : ",") + core::to_string(v);
+    if (!out.empty()) out += ',';
+    out += core::to_string(v);
   }
   return out;
 }

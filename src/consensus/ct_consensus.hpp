@@ -14,141 +14,23 @@
 //      decide and broadcast the decision.
 //
 // The coordinator handles its own estimate/proposal/ack locally (no
-// network traffic). Requires a majority of correct processes.
+// network traffic). Requires a majority of correct processes. This file
+// holds only the round logic; the instance stream around it (GC, durable
+// log, decide/DECIDE, accessors, audits) is consensus::InstanceStream.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <set>
 #include <vector>
 
-#include "consensus/durable_log.hpp"
-#include "consensus/instance_gc.hpp"
-#include "consensus/layer_audit.hpp"
-#include "consensus/membership.hpp"
-#include "fd/failure_detector.hpp"
-#include "runtime/process.hpp"
+#include "consensus/instance_stream.hpp"
 
 namespace sanperf::consensus {
 
-using fd::FailureDetector;
-using runtime::HostId;
-using runtime::Message;
-using runtime::MsgKind;
+namespace detail {
 
-struct DecisionEvent {
-  std::int32_t cid = 0;
-  std::int64_t value = 0;       ///< first decided value (scalar view)
-  std::int32_t round = 0;       ///< round in which the decision was reached
-  des::TimePoint at;
-  HostId by = 0;
-  /// Full decided batch; one entry per client value the instance carried
-  /// (a single entry for unbatched proposals).
-  std::vector<std::int64_t> values;
-};
-
-class CtConsensus : public runtime::Layer {
- public:
-  /// `fd` must outlive the layer; its suspicions drive phase-3 nacks.
-  explicit CtConsensus(FailureDetector& fd);
-
-  void on_start() override;
-  void on_message(const Message& m) override;
-  void on_crash() override;
-  /// Warm restart. Without a durable log, consensus state is volatile: a
-  /// rebooted process forgets every in-flight instance and rejoins
-  /// passively -- it takes part in instances proposed after the restart,
-  /// and learns old decisions only through DECIDE messages (never
-  /// re-reporting them). With the log enabled, the logged suffix is
-  /// replayed instead: each undecided in-flight instance re-enters its
-  /// logged round and broadcasts a REPLAYQ so peers re-send the round
-  /// traffic missed while down.
-  void on_restart() override;
-
-  /// Starts instance `cid` with this process's initial value.
-  void propose(std::int32_t cid, std::int64_t value);
-  /// Batched form: the instance carries a whole vector of client values
-  /// (one Batcher batch); agreement is on the vector as a unit.
-  void propose(std::int32_t cid, std::vector<std::int64_t> values);
-
-  /// Round-robins the *round-1* coordinator across instances (`cid % n`)
-  /// instead of always host 0, so a single host crash stalls only 1/n of a
-  /// streamed workload instead of every instance. Off by default: the
-  /// paper's experiments pin host 0 (Section 2.1 rotates only across
-  /// rounds), and the goldens depend on that.
-  void set_rotate_coordinators(bool on) { rotate_coordinators_ = on; }
-
-  /// Enables the stable-storage write-ahead log: per-instance state is
-  /// recorded before every externally visible protocol step (each record
-  /// charging the configured persistence latency on a serialized device
-  /// tail), and on_restart replays it so the process rejoins in-flight
-  /// instances. Disabled (the default) the layer is bit-exact with the
-  /// volatile warm-restart model.
-  void set_durable_log(const DurableLogConfig& cfg) { log_.configure(cfg); }
-  [[nodiscard]] const DurableLog& durable_log() const { return log_; }
-
-  /// Attaches the cluster's dynamic membership view (nullptr = fixed
-  /// membership over all n hosts, bit-exact with the static code paths).
-  /// Instances capture the epoch current at first touch and resolve
-  /// coordinator rotation, majority size and broadcast fan-out against
-  /// that epoch's member set for their whole life. `view` must outlive
-  /// the layer.
-  void set_membership(const MembershipView* view) { view_ = view; }
-
-  /// Aggregate protocol counters across all instances (diagnostics).
-  struct Stats {
-    std::uint64_t rounds_entered = 0;
-    std::uint64_t estimates_sent = 0;
-    std::uint64_t proposals_sent = 0;
-    std::uint64_t acks_sent = 0;
-    std::uint64_t nacks_sent = 0;
-    std::uint64_t rounds_aborted = 0;  ///< as coordinator, on a nack
-  };
-  [[nodiscard]] const Stats& stats() const { return stats_; }
-
-  [[nodiscard]] bool has_decided(std::int32_t cid) const;
-  [[nodiscard]] std::int64_t decision(std::int32_t cid) const;
-  [[nodiscard]] const std::vector<std::int64_t>& decision_values(std::int32_t cid) const;
-  [[nodiscard]] std::int32_t rounds_used(std::int32_t cid) const;
-
-  /// Called on every local decision (first delivery per instance).
-  void set_decide_callback(std::function<void(const DecisionEvent&)> cb) {
-    on_decide_ = std::move(cb);
-  }
-
-  /// When true, a process that learns a decision re-broadcasts it once
-  /// (full reliable-broadcast behaviour). Off by default: the coordinator's
-  /// own broadcast suffices in crash-free tails and the paper's latency
-  /// metric stops at the first decision anyway.
-  void set_relay_decide(bool relay) { relay_decide_ = relay; }
-
-  /// When enabled, an instance's state is discarded once this process has
-  /// decided it (and handled the decide broadcast), so a long stream of
-  /// instances runs in O(in-flight) memory instead of O(stream length).
-  /// Late messages for a collected instance are ignored exactly as they
-  /// were for a decided one; has_decided stays true for collected cids, but
-  /// decision()/rounds_used() no longer answer for them -- workloads that
-  /// query decisions after the run keep it off (the default).
-  void set_gc_decided(bool on) { gc_.enable(on); }
-  /// Instances currently holding state (streams with GC keep this bounded
-  /// by the in-flight window).
-  [[nodiscard]] std::size_t active_instances() const { return instances_.size(); }
-  /// High-water mark of active_instances over the layer's lifetime.
-  [[nodiscard]] std::size_t peak_active_instances() const { return peak_active_; }
-  [[nodiscard]] std::uint64_t instances_collected() const { return gc_.collected_count(); }
-
-#if SANPERF_AUDIT_ENABLED
-  /// Test-only corruption backdoor: forgets that `cid` decided (the decided
-  /// flag, the pending flag and the broadcast marker), so a re-delivered
-  /// DECIDE re-drives the decide path and the no-double-decide audit trips.
-  void audit_corrupt_clear_decided(std::int32_t cid);
-  /// Test-only: mutable log access for corrupting records between a crash
-  /// and its replay (the replay-matches-precrash audit must notice).
-  [[nodiscard]] DurableLog& audit_mutable_log() { return log_; }
-#endif
-
- private:
+/// Chandra-Toueg's per-instance round state.
+struct CtRound {
   enum class Phase : std::uint8_t {
     kIdle,            ///< not started
     kCoordWaitEst,    ///< phase 2 (self is coordinator)
@@ -156,6 +38,7 @@ class CtConsensus : public runtime::Layer {
     kCoordWaitReply,  ///< phase 4 (self is coordinator)
     kDone,
   };
+  static constexpr Phase kAwaitsCoordinator = Phase::kWaitProp;
 
   struct EstimateSet {
     std::int32_t count = 0;   ///< estimates received (including the local one)
@@ -171,90 +54,60 @@ class CtConsensus : public runtime::Layer {
     }
   };
 
-  struct Instance {
-    bool started = false;
-    bool decided = false;
-    bool decide_pending = false;  ///< decision record still persisting
-    bool decide_broadcast = false;
-    /// Membership epoch the instance runs under, captured at first touch
-    /// (locally from the view at launch, remotely from Message::view_epoch)
-    /// and fixed for the instance's life -- quorum size never changes
-    /// mid-flight.
-    std::uint32_t epoch = 0;
-    bool epoch_set = false;
-    std::vector<std::int64_t> decision;
-    std::int32_t decision_round = 0;
-    std::int32_t round = 0;  ///< current round, 1-based; 0 before start
-    Phase phase = Phase::kIdle;
-    std::vector<std::int64_t> estimate;
-    std::int32_t ts = 0;
-    std::map<std::int32_t, EstimateSet> ests;       // per round
-    std::map<std::int32_t, std::int32_t> acks;      // per round (incl. own)
-    std::map<std::int32_t, std::int32_t> nacks;     // per round
-    std::map<std::int32_t, Message> buffered_props; // proposals for future rounds
-    /// Replay dedup (durable recovery only): the round on_restart restored
-    /// and the estimate senders already tallied for it. A peer's normal
-    /// round-entry send can race its REPLAYQ re-send; the count-based
-    /// estimate tally must count each peer once. -1 = not a restored round.
-    std::int32_t replay_round = -1;
-    std::set<HostId> replay_seen;
+  Phase phase = Phase::kIdle;
+  std::int32_t ts = 0;  ///< round in which the estimate was last adopted
+  std::map<std::int32_t, EstimateSet> ests;                // per round
+  std::map<std::int32_t, std::int32_t> acks;               // per round (incl. own)
+  std::map<std::int32_t, std::int32_t> nacks;              // per round
+  std::map<std::int32_t, runtime::Message> buffered_props; // proposals for future rounds
+};
+
+}  // namespace detail
+
+class CtConsensus : public InstanceStream<CtConsensus, detail::CtRound> {
+ public:
+  /// `fd` must outlive the layer; its suspicions drive phase-3 nacks.
+  explicit CtConsensus(FailureDetector& fd) : InstanceStream{fd} {}
+
+  /// Aggregate protocol counters across all instances (diagnostics).
+  struct Stats {
+    std::uint64_t rounds_entered = 0;
+    std::uint64_t estimates_sent = 0;
+    std::uint64_t proposals_sent = 0;
+    std::uint64_t acks_sent = 0;
+    std::uint64_t nacks_sent = 0;
+    std::uint64_t rounds_aborted = 0;  ///< as coordinator, on a nack
   };
+  [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  [[nodiscard]] HostId coordinator_of(std::int32_t cid, const Instance& inst,
-                                      std::int32_t round) const;
-  [[nodiscard]] std::int32_t majority(const Instance& inst) const;
-  /// Stamps the instance's epoch and sends within its member set (plain
-  /// Process::send/broadcast under fixed membership -- identical order).
-  void ucast(const Instance& inst, Message m, HostId dst);
-  void bcast(const Instance& inst, Message m);
-  void touch_epoch(Instance& inst, std::uint32_t epoch) {
-    if (!inst.epoch_set) {
-      inst.epoch_set = true;
-      inst.epoch = epoch;
-    }
+ private:
+  friend InstanceStream;
+  using Phase = detail::CtRound::Phase;
+
+  static bool is_round_kind(MsgKind kind) {
+    return kind == MsgKind::kEstimate || kind == MsgKind::kPropose || kind == MsgKind::kAck ||
+           kind == MsgKind::kNack;
   }
-  /// Runs `fn` after one durable append completes: inline when the log is
-  /// disabled or the latency is 0, else after the charged delay (the timer
-  /// is epoch-guarded, so a crash mid-write kills the step -- replay
-  /// re-drives it).
-  void durable_apply(std::function<void()> fn);
-  /// Folds the instance's replayable state into its log record (no charge;
-  /// charges happen at the write-ahead points that defer a visible step).
-  void record_state(std::int32_t cid, const Instance& inst);
-  void handle_replay_query(const Message& m);
-
-  Instance& instance(std::int32_t cid) {
-    Instance& inst = instances_[cid];
-    if (instances_.size() > peak_active_) peak_active_ = instances_.size();
-    return inst;
+  static void record_round(DurableLog::InstanceState& rec, const Instance& inst) {
+    rec.ts = inst.ts;
   }
   void advance_round(std::int32_t cid, Instance& inst);
+  void on_round_message(Instance& inst, const Message& m);
+  void coordinator_suspected(std::int32_t cid, Instance& inst) { send_nack(cid, inst); }
+  void resume_round(std::int32_t cid, Instance& inst, const DurableLog::InstanceState& rec);
+  void answer_replay_query(Instance& inst, const Message& m);
+
   void record_estimate(std::int32_t cid, Instance& inst, std::int32_t round,
                        const std::vector<std::int64_t>& value, std::int32_t ts);
   void maybe_propose(std::int32_t cid, Instance& inst);
   void handle_proposal(std::int32_t cid, Instance& inst, const Message& m);
   void maybe_conclude_round(std::int32_t cid, Instance& inst);
-  void decide(std::int32_t cid, Instance& inst, const std::vector<std::int64_t>& value,
-              std::int32_t round);
-  void finish_decide(std::int32_t cid, Instance& inst);
   void send_nack(std::int32_t cid, Instance& inst);
-  void on_suspicion(HostId peer, bool suspected);
-#if SANPERF_AUDIT_ENABLED
-  void audit_check_sender(const Instance& inst, const Message& m) const;
-  void audit_check_replay();
-#endif
+  void send_estimate(std::int32_t cid, const Instance& inst, HostId to);
 
-  FailureDetector* fd_;
-  DurableLog log_;
-  const MembershipView* view_ = nullptr;
-  std::map<std::int32_t, Instance> instances_;
-  detail::InstanceGc gc_;
-  std::size_t peak_active_ = 0;
-  std::function<void(const DecisionEvent&)> on_decide_;
   Stats stats_;
-  bool relay_decide_ = false;
-  bool rotate_coordinators_ = false;
-  SANPERF_AUDIT_ONLY(detail::LayerAudit audit_;)
 };
+
+extern template class InstanceStream<CtConsensus, detail::CtRound>;
 
 }  // namespace sanperf::consensus

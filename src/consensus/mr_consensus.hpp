@@ -18,70 +18,58 @@
 // round of bottoms before rotating, whereas CT processes that already
 // suspect the coordinator advance after cheap nacks -- so CT recovers
 // faster, increasingly so with n. The ext_algorithms bench quantifies both
-// regimes.
+// regimes. Like CtConsensus, this file holds only the round logic over
+// consensus::InstanceStream.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <set>
 #include <vector>
 
-#include "consensus/ct_consensus.hpp"  // DecisionEvent, FailureDetector
-#include "consensus/durable_log.hpp"
-#include "consensus/instance_gc.hpp"
-#include "consensus/layer_audit.hpp"
-#include "consensus/membership.hpp"
-#include "runtime/process.hpp"
+#include "consensus/instance_stream.hpp"
 
 namespace sanperf::consensus {
 
-class MrConsensus : public runtime::Layer {
+namespace detail {
+
+/// Mostefaoui-Raynal's per-instance round state.
+struct MrRound {
+  enum class Phase : std::uint8_t {
+    kIdle,
+    kWaitCoord,  ///< waiting for the coordinator's estimate (or suspicion)
+    kWaitAux,    ///< AUX sent, collecting a majority of AUX values
+    kDone,
+  };
+  static constexpr Phase kAwaitsCoordinator = Phase::kWaitCoord;
+
+  struct AuxSet {
+    std::int32_t value_count = 0;   ///< AUX carrying the coordinator value
+    std::int32_t bottom_count = 0;  ///< AUX carrying bottom
+    std::vector<std::int64_t> value;  ///< the (unique) non-bottom value seen
+
+    void add(bool bottom, const std::vector<std::int64_t>& v) {
+      if (bottom) {
+        ++bottom_count;
+      } else {
+        ++value_count;
+        value = v;
+      }
+    }
+  };
+
+  Phase phase = Phase::kIdle;
+  std::map<std::int32_t, std::vector<std::int64_t>> coord_ests;  ///< buffered per round
+  std::map<std::int32_t, AuxSet> aux;                            ///< per round
+  /// Our own AUX per round, kept (durable mode only) so a REPLAYQ from a
+  /// restarted peer can be answered even after we moved past its round.
+  std::map<std::int32_t, runtime::Message> sent_aux;
+};
+
+}  // namespace detail
+
+class MrConsensus : public InstanceStream<MrConsensus, detail::MrRound> {
  public:
-  explicit MrConsensus(FailureDetector& fd);
-
-  void on_start() override;
-  void on_message(const Message& m) override;
-  void on_crash() override;
-  /// Warm restart: volatile-state loss exactly as CtConsensus models it,
-  /// unless the durable log is enabled -- then the logged suffix is
-  /// replayed (round/estimate/AUX-vote state restored, REPLAYQ asks peers
-  /// for the missed round traffic).
-  void on_restart() override;
-
-  void propose(std::int32_t cid, std::int64_t value);
-  /// Batched form: the instance carries a whole vector of client values.
-  void propose(std::int32_t cid, std::vector<std::int64_t> values);
-
-  /// Per-instance round-1 coordinator rotation (`cid % n`); identical
-  /// contract to CtConsensus::set_rotate_coordinators. Off by default.
-  void set_rotate_coordinators(bool on) { rotate_coordinators_ = on; }
-
-  /// Stable-storage write-ahead log; identical contract to
-  /// CtConsensus::set_durable_log.
-  void set_durable_log(const DurableLogConfig& cfg) { log_.configure(cfg); }
-  [[nodiscard]] const DurableLog& durable_log() const { return log_; }
-
-  /// Dynamic membership view; identical contract to
-  /// CtConsensus::set_membership (nullptr = fixed membership, bit-exact).
-  void set_membership(const MembershipView* view) { view_ = view; }
-
-  [[nodiscard]] bool has_decided(std::int32_t cid) const;
-  [[nodiscard]] std::int64_t decision(std::int32_t cid) const;
-  [[nodiscard]] const std::vector<std::int64_t>& decision_values(std::int32_t cid) const;
-  [[nodiscard]] std::int32_t rounds_used(std::int32_t cid) const;
-
-  void set_decide_callback(std::function<void(const DecisionEvent&)> cb) {
-    on_decide_ = std::move(cb);
-  }
-  void set_relay_decide(bool relay) { relay_decide_ = relay; }
-
-  /// Decided-instance garbage collection; identical contract to
-  /// CtConsensus::set_gc_decided.
-  void set_gc_decided(bool on) { gc_.enable(on); }
-  [[nodiscard]] std::size_t active_instances() const { return instances_.size(); }
-  [[nodiscard]] std::size_t peak_active_instances() const { return peak_active_; }
-  [[nodiscard]] std::uint64_t instances_collected() const { return gc_.collected_count(); }
+  explicit MrConsensus(FailureDetector& fd) : InstanceStream{fd} {}
 
   struct Stats {
     std::uint64_t rounds_entered = 0;
@@ -91,96 +79,32 @@ class MrConsensus : public runtime::Layer {
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-#if SANPERF_AUDIT_ENABLED
-  /// Test-only corruption backdoors; identical contract to CtConsensus.
-  void audit_corrupt_clear_decided(std::int32_t cid);
-  [[nodiscard]] DurableLog& audit_mutable_log() { return log_; }
-#endif
-
  private:
-  enum class Phase : std::uint8_t {
-    kIdle,
-    kWaitCoord,  ///< waiting for the coordinator's estimate (or suspicion)
-    kWaitAux,    ///< AUX sent, collecting a majority of AUX values
-    kDone,
-  };
+  friend InstanceStream;
+  using Phase = detail::MrRound::Phase;
 
-  struct AuxSet {
-    std::int32_t value_count = 0;   ///< AUX carrying the coordinator value
-    std::int32_t bottom_count = 0;  ///< AUX carrying bottom
-    std::vector<std::int64_t> value;  ///< the (unique) non-bottom value seen
-  };
-
-  struct Instance {
-    bool started = false;
-    bool decided = false;
-    bool decide_pending = false;  ///< decision record still persisting
-    bool decide_broadcast = false;
-    /// Membership epoch, captured at first touch and fixed for the
-    /// instance's life (see CtConsensus::Instance).
-    std::uint32_t epoch = 0;
-    bool epoch_set = false;
-    std::vector<std::int64_t> decision;
-    std::int32_t decision_round = 0;
-    std::int32_t round = 0;
-    Phase phase = Phase::kIdle;
-    std::vector<std::int64_t> estimate;
-    std::map<std::int32_t, std::vector<std::int64_t>> coord_ests;  ///< buffered per round
-    std::map<std::int32_t, AuxSet> aux;                            ///< per round
-    /// Our own AUX per round, kept (durable mode only) so a REPLAYQ from a
-    /// restarted peer can be answered even after we moved past its round.
-    std::map<std::int32_t, Message> sent_aux;
-    /// Replay dedup (durable recovery only): the round on_restart restored
-    /// and the AUX senders already tallied for it -- a peer's normal
-    /// broadcast can race its REPLAYQ re-send. -1 = not a restored round.
-    std::int32_t replay_round = -1;
-    std::set<HostId> replay_seen;
-  };
-
-  [[nodiscard]] HostId coordinator_of(std::int32_t cid, const Instance& inst,
-                                      std::int32_t round) const;
-  [[nodiscard]] std::int32_t majority(const Instance& inst) const;
-  void ucast(const Instance& inst, Message m, HostId dst);
-  void bcast(const Instance& inst, Message m);
-  void touch_epoch(Instance& inst, std::uint32_t epoch) {
-    if (!inst.epoch_set) {
-      inst.epoch_set = true;
-      inst.epoch = epoch;
-    }
+  static bool is_round_kind(MsgKind kind) {
+    return kind == MsgKind::kCoordEst || kind == MsgKind::kAux;
   }
-  void durable_apply(std::function<void()> fn);
-  void record_state(std::int32_t cid, const Instance& inst);
-  void handle_replay_query(const Message& m);
-
-  Instance& instance(std::int32_t cid) {
-    Instance& inst = instances_[cid];
-    if (instances_.size() > peak_active_) peak_active_ = instances_.size();
-    return inst;
+  /// The round's vote is re-armed on every round record; send_aux logs it.
+  static void record_round(DurableLog::InstanceState& rec, const Instance&) {
+    rec.aux_sent = false;
   }
   void advance_round(std::int32_t cid, Instance& inst);
+  void on_round_message(Instance& inst, const Message& m);
+  void coordinator_suspected(std::int32_t cid, Instance& inst) {
+    send_aux(cid, inst, /*bottom=*/true, {});
+  }
+  void resume_round(std::int32_t cid, Instance& inst, const DurableLog::InstanceState& rec);
+  void answer_replay_query(Instance& inst, const Message& m);
+
   void send_aux(std::int32_t cid, Instance& inst, bool bottom,
                 const std::vector<std::int64_t>& value);
   void maybe_conclude(std::int32_t cid, Instance& inst);
-  void decide(std::int32_t cid, Instance& inst, const std::vector<std::int64_t>& value,
-              std::int32_t round);
-  void finish_decide(std::int32_t cid, Instance& inst);
-  void on_suspicion(HostId peer, bool suspected);
-#if SANPERF_AUDIT_ENABLED
-  void audit_check_sender(const Instance& inst, const Message& m) const;
-  void audit_check_replay();
-#endif
 
-  FailureDetector* fd_;
-  DurableLog log_;
-  const MembershipView* view_ = nullptr;
-  std::map<std::int32_t, Instance> instances_;
-  detail::InstanceGc gc_;
-  std::size_t peak_active_ = 0;
-  std::function<void(const DecisionEvent&)> on_decide_;
   Stats stats_;
-  bool relay_decide_ = false;
-  bool rotate_coordinators_ = false;
-  SANPERF_AUDIT_ONLY(detail::LayerAudit audit_;)
 };
+
+extern template class InstanceStream<MrConsensus, detail::MrRound>;
 
 }  // namespace sanperf::consensus

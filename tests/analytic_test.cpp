@@ -166,7 +166,7 @@ TEST(CtmcSolverTest, DetectsInfiniteMeanOnDeadlock) {
       .case_prob(0.5)
       .out(stuck);
   CtmcTransientSolver solver{m, [done](const Marking& mk) { return mk.get(done) > 0; }};
-  EXPECT_THROW(solver.mean_time_to_stop_ms(), std::runtime_error);
+  EXPECT_THROW((void)solver.mean_time_to_stop_ms(), std::runtime_error);
   // The transient probability is still well-defined.
   EXPECT_NEAR(solver.probability_stopped_by(1000.0), 0.5, 1e-6);
 }

@@ -14,11 +14,13 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "consensus/ct_consensus.hpp"
 #include "consensus/durable_log.hpp"
 #include "consensus/instance_gc.hpp"
+#include "consensus/mr_consensus.hpp"
 #include "consensus/payload.hpp"
 #include "des/ladder_queue.hpp"
 #include "des/simulator.hpp"
@@ -31,6 +33,7 @@ namespace sanperf {
 namespace {
 
 using consensus::CtConsensus;
+using consensus::MrConsensus;
 using fd::StaticFd;
 using runtime::Cluster;
 using runtime::ClusterConfig;
@@ -78,27 +81,29 @@ ClusterConfig tiny_config(std::size_t n, std::uint64_t seed) {
   return cfg;
 }
 
-/// Builds a StaticFd + CtConsensus stack on every process.
+/// Builds a StaticFd + `Layer` consensus stack on every process.
+template <typename Layer = CtConsensus>
 void add_consensus_stack(Cluster& cluster) {
   for (HostId i = 0; i < static_cast<HostId>(cluster.n()); ++i) {
     auto& proc = cluster.process(i);
     auto& fd_layer = proc.add_layer<StaticFd>();
-    proc.add_layer<CtConsensus>(fd_layer);
+    proc.add_layer<Layer>(fd_layer);
   }
 }
 
 /// Proposes on every host and runs until all live hosts decided cid 0.
+template <typename Layer = CtConsensus>
 void run_to_decision(Cluster& cluster) {
   const des::TimePoint t0 = des::TimePoint::origin() + des::Duration::from_ms(1.0);
   for (HostId i = 0; i < static_cast<HostId>(cluster.n()); ++i) {
     auto& proc = cluster.process(i);
     cluster.sim().schedule_at(t0, [&proc] {
-      proc.layer<CtConsensus>().propose(0, 100 + proc.id());
+      proc.layer<Layer>().propose(0, 100 + proc.id());
     });
   }
   cluster.run_until(des::TimePoint::origin() + des::Duration::from_ms(5000.0));
   for (HostId i = 0; i < static_cast<HostId>(cluster.n()); ++i) {
-    ASSERT_TRUE(cluster.process(i).layer<CtConsensus>().has_decided(0));
+    ASSERT_TRUE(cluster.process(i).layer<Layer>().has_decided(0));
   }
 }
 
@@ -300,11 +305,31 @@ TEST_F(AuditTest, UnguardedPrecrashTimerTrips) {
 
 // --- consensus/ --------------------------------------------------------------
 
-TEST_F(AuditTest, DoubleDecideTrips) {
+// The consensus invariants live in the shared instance-stream core, so every
+// negative runs over both round policies.
+template <typename Layer>
+class ConsensusAuditTest : public AuditTest {
+ protected:
+  /// A round-traffic kind the layer consumes (so it reaches the sender check).
+  static constexpr MsgKind kRoundKind =
+      std::is_same_v<Layer, CtConsensus> ? MsgKind::kEstimate : MsgKind::kAux;
+};
+
+struct LayerName {
+  template <typename Layer>
+  static std::string GetName(int) {
+    return std::is_same_v<Layer, CtConsensus> ? "CT" : "MR";
+  }
+};
+
+using ConsensusLayers = ::testing::Types<CtConsensus, MrConsensus>;
+TYPED_TEST_SUITE(ConsensusAuditTest, ConsensusLayers, LayerName);
+
+TYPED_TEST(ConsensusAuditTest, DoubleDecideTrips) {
   Cluster cluster{tiny_config(3, 5)};
-  add_consensus_stack(cluster);
-  run_to_decision(cluster);
-  auto& cons = cluster.process(0).layer<CtConsensus>();
+  add_consensus_stack<TypeParam>(cluster);
+  run_to_decision<TypeParam>(cluster);
+  auto& cons = cluster.process(0).layer<TypeParam>();
   const std::vector<std::int64_t> decided = cons.decision_values(0);
   // Corrupt: host 0 forgets it decided, then a late DECIDE re-drives the
   // decide path for the same instance.
@@ -315,57 +340,57 @@ TEST_F(AuditTest, DoubleDecideTrips) {
   dec.round = cons.rounds_used(0);
   dec.from = 1;
   consensus::detail::set_payload(dec, decided);
-  EXPECT_EQ(tripped([&] { cons.on_message(dec); }), "consensus.no_double_decide");
+  EXPECT_EQ(this->tripped([&] { cons.on_message(dec); }), "consensus.no_double_decide");
 }
 
-TEST_F(AuditTest, ConflictingDecideTrips) {
+TYPED_TEST(ConsensusAuditTest, ConflictingDecideTrips) {
   Cluster cluster{tiny_config(3, 5)};
-  add_consensus_stack(cluster);
-  run_to_decision(cluster);
-  auto& cons = cluster.process(0).layer<CtConsensus>();
+  add_consensus_stack<TypeParam>(cluster);
+  run_to_decision<TypeParam>(cluster);
+  auto& cons = cluster.process(0).layer<TypeParam>();
   Message dec;
   dec.kind = MsgKind::kDecide;
   dec.cid = 0;
   dec.round = cons.rounds_used(0);
   dec.from = 1;
   consensus::detail::set_payload(dec, {999999});  // not what host 0 decided
-  EXPECT_EQ(tripped([&] { cons.on_message(dec); }), "consensus.decision_agreement");
+  EXPECT_EQ(this->tripped([&] { cons.on_message(dec); }), "consensus.decision_agreement");
 }
 
-TEST_F(AuditTest, CrossEpochSenderTrips) {
+TYPED_TEST(ConsensusAuditTest, CrossEpochSenderTrips) {
   // Epoch 0 membership is {0, 1, 2}; host 3 exists in the cluster but is
   // not a member of the epoch the instance launched under, so its protocol
   // traffic must not be allowed into the instance's quorum.
   Cluster cluster{tiny_config(4, 9)};
-  add_consensus_stack(cluster);
+  add_consensus_stack<TypeParam>(cluster);
   consensus::MembershipView view{{0, 1, 2}};
-  auto& cons = cluster.process(0).layer<CtConsensus>();
+  auto& cons = cluster.process(0).layer<TypeParam>();
   cons.set_membership(&view);
   Message est;
-  est.kind = MsgKind::kEstimate;
+  est.kind = TestFixture::kRoundKind;
   est.cid = 0;
   est.round = 1;
   est.from = 3;
   est.view_epoch = 0;
   consensus::detail::set_payload(est, {7});
-  EXPECT_EQ(tripped([&] { cons.on_message(est); }), "consensus.quorum_in_epoch");
+  EXPECT_EQ(this->tripped([&] { cons.on_message(est); }), "consensus.quorum_in_epoch");
 }
 
-TEST_F(AuditTest, CorruptedReplayTrips) {
+TYPED_TEST(ConsensusAuditTest, CorruptedReplayTrips) {
   Cluster cluster{tiny_config(3, 5)};
   for (HostId i = 0; i < 3; ++i) {
     auto& proc = cluster.process(i);
     auto& fd_layer = proc.add_layer<StaticFd>();
-    auto& cons = proc.add_layer<CtConsensus>(fd_layer);
+    auto& cons = proc.add_layer<TypeParam>(fd_layer);
     cons.set_durable_log({.enabled = true, .append_latency_ms = 0.0});
   }
-  run_to_decision(cluster);
+  run_to_decision<TypeParam>(cluster);
   auto& proc = cluster.process(0);
   proc.crash();  // snapshots the pre-crash state (instance 0 decided)
   // Corrupt the log between crash and replay: the restored decision no
   // longer matches what stood before the crash.
-  proc.layer<CtConsensus>().audit_mutable_log().state(0).decision = {424242};
-  EXPECT_EQ(tripped([&] { proc.restart(); }), "consensus.replay_matches_precrash");
+  proc.layer<TypeParam>().audit_mutable_log().state(0).decision = {424242};
+  EXPECT_EQ(this->tripped([&] { proc.restart(); }), "consensus.replay_matches_precrash");
 }
 
 TEST_F(AuditTest, GcWatermarkRewindTrips) {

@@ -1,12 +1,18 @@
 // Tests of the Chandra-Toueg consensus layer: safety (agreement, validity),
 // liveness in all three run classes, crash handling and the sequencer.
-// Includes parameterized safety sweeps across n, crash patterns and seeds.
+// Includes parameterized safety sweeps across n, crash patterns and seeds,
+// and the instance-stream contract both consensus layers share.
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <set>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "consensus/ct_consensus.hpp"
+#include "consensus/mr_consensus.hpp"
+#include "consensus/payload.hpp"
 #include "consensus/sequencer.hpp"
 #include "fd/failure_detector.hpp"
 #include "fd/heartbeat_fd.hpp"
@@ -142,33 +148,6 @@ TEST(CtConsensusTest, RelayDecideAlsoAgrees) {
     values.insert(*d);
   }
   EXPECT_EQ(values.size(), 1u);
-}
-
-TEST(CtConsensusTest, ProposeTwiceRejected) {
-  Cluster cluster{base_config(3, 8)};
-  for (HostId i = 0; i < 3; ++i) {
-    auto& proc = cluster.process(i);
-    auto& fd_layer = proc.add_layer<StaticFd>();
-    proc.add_layer<CtConsensus>(fd_layer);
-  }
-  cluster.run_until(des::TimePoint::origin());
-  auto& cons = cluster.process(0).layer<CtConsensus>();
-  cons.propose(0, 1);
-  EXPECT_THROW(cons.propose(0, 2), std::logic_error);
-}
-
-TEST(CtConsensusTest, AccessorsBeforeDecision) {
-  Cluster cluster{base_config(3, 9)};
-  for (HostId i = 0; i < 3; ++i) {
-    auto& proc = cluster.process(i);
-    auto& fd_layer = proc.add_layer<StaticFd>();
-    proc.add_layer<CtConsensus>(fd_layer);
-  }
-  cluster.run_until(des::TimePoint::origin());
-  const auto& cons = cluster.process(0).layer<CtConsensus>();
-  EXPECT_FALSE(cons.has_decided(0));
-  EXPECT_THROW((void)cons.decision(0), std::logic_error);
-  EXPECT_EQ(cons.rounds_used(0), 0);
 }
 
 // Safety sweep: agreement + validity over (n, crash, seed) combinations.
@@ -450,6 +429,113 @@ TEST(SequencerTest, LatenciesConsistentAcrossInstances) {
     EXPECT_LT(r.latency_ms(), 6.0);
     EXPECT_EQ(r.rounds, 1);
   }
+}
+
+
+// --------------------------------------------------------------------------
+// The instance-stream contract, over both round policies
+// --------------------------------------------------------------------------
+
+/// Three processes, each a StaticFd under the consensus layer `Layer`.
+template <typename Layer>
+class InstanceStreamContractTest : public ::testing::Test {
+ protected:
+  InstanceStreamContractTest() {
+    for (HostId i = 0; i < 3; ++i) {
+      auto& proc = cluster_.process(i);
+      traces_.push_back(&proc.template add_layer<runtime::TraceLayer>());
+      auto& fd_layer = proc.template add_layer<StaticFd>();
+      proc.template add_layer<Layer>(fd_layer);
+    }
+    cluster_.run_until(des::TimePoint::origin());
+  }
+
+  Layer& layer(HostId i) { return cluster_.process(i).template layer<Layer>(); }
+
+  /// Every host proposes instance `cid` and the cluster runs 100 ms.
+  void decide_everywhere(std::int32_t cid) {
+    for (HostId i = 0; i < 3; ++i) layer(i).propose(cid, 100 + i);
+    cluster_.run_until(cluster_.now() + des::Duration::from_ms(100));
+  }
+
+  Cluster cluster_{base_config(3, 8)};
+  std::vector<runtime::TraceLayer*> traces_;
+};
+
+struct LayerName {
+  template <typename Layer>
+  static std::string GetName(int) {
+    return std::is_same_v<Layer, CtConsensus> ? "CT" : "MR";
+  }
+};
+
+using ConsensusLayers = ::testing::Types<CtConsensus, MrConsensus>;
+TYPED_TEST_SUITE(InstanceStreamContractTest, ConsensusLayers, LayerName);
+
+TYPED_TEST(InstanceStreamContractTest, ProposeTwiceRejectedAndAccessorsThrowBeforeDecision) {
+  auto& cons = this->layer(0);
+  EXPECT_FALSE(cons.has_decided(0));
+  EXPECT_THROW((void)cons.decision(0), std::logic_error);
+  EXPECT_THROW((void)cons.decision_values(0), std::logic_error);
+  EXPECT_EQ(cons.rounds_used(0), 0);
+  cons.propose(0, 1);
+  EXPECT_THROW(cons.propose(0, 2), std::logic_error);
+}
+
+TYPED_TEST(InstanceStreamContractTest, GcKeepsHasDecidedButDropsTheDecision) {
+  for (HostId i = 0; i < 3; ++i) this->layer(i).set_gc_decided(true);
+  this->decide_everywhere(0);
+  auto& cons = this->layer(0);
+  // Collection is deferred to the next entry point: a fresh propose sweeps.
+  cons.propose(1, 200);
+  EXPECT_TRUE(cons.has_decided(0));
+  EXPECT_GE(cons.instances_collected(), 1u);
+  EXPECT_THROW((void)cons.decision(0), std::logic_error);  // state discarded
+}
+
+TYPED_TEST(InstanceStreamContractTest, RelayDecideStillAgrees) {
+  for (HostId i = 0; i < 3; ++i) this->layer(i).set_relay_decide(true);
+  this->decide_everywhere(0);
+  std::set<std::int64_t> values;
+  for (HostId i = 0; i < 3; ++i) {
+    ASSERT_TRUE(this->layer(i).has_decided(0)) << "host " << i;
+    values.insert(this->layer(i).decision(0));
+  }
+  EXPECT_EQ(values.size(), 1u);
+}
+
+TYPED_TEST(InstanceStreamContractTest, DecideBeforeProposeIsReportedAtPropose) {
+  auto& cons = this->layer(0);
+  std::vector<DecisionEvent> reported;
+  cons.set_decide_callback([&reported](const DecisionEvent& ev) { reported.push_back(ev); });
+  Message dec;
+  dec.kind = MsgKind::kDecide;
+  dec.cid = 0;
+  dec.round = 1;
+  dec.from = 1;
+  detail::set_payload(dec, {42, 43});
+  cons.on_message(dec);
+  EXPECT_TRUE(cons.has_decided(0));
+  EXPECT_TRUE(reported.empty());  // not proposed here yet: nothing to report
+  cons.propose(0, 7);
+  ASSERT_EQ(reported.size(), 1u);
+  EXPECT_EQ(reported[0].cid, 0);
+  EXPECT_EQ(reported[0].value, 42);
+  EXPECT_EQ(reported[0].values, (std::vector<std::int64_t>{42, 43}));
+}
+
+TYPED_TEST(InstanceStreamContractTest, ReplayQueryForADecidedInstanceIsAnsweredWithDecide) {
+  this->decide_everywhere(0);
+  ASSERT_TRUE(this->layer(0).has_decided(0));
+  const std::uint64_t before = this->traces_[1]->count(MsgKind::kDecide);
+  Message q;
+  q.kind = MsgKind::kReplayQuery;
+  q.cid = 0;
+  q.round = 1;
+  q.from = 1;
+  this->layer(0).on_message(q);
+  this->cluster_.run_until(this->cluster_.now() + des::Duration::from_ms(10));
+  EXPECT_EQ(this->traces_[1]->count(MsgKind::kDecide), before + 1);
 }
 
 }  // namespace

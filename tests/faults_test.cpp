@@ -357,7 +357,9 @@ TEST(FaultHarnessTest, SingleCrashPlanReproducesTable1ExecutionsBitForBit) {
     const auto faulty =
         run_fault_execution(core::Algorithm::kChandraToueg, 5, params, timers, crash0, k, seed);
     ASSERT_EQ(plain.latency_ms.has_value(), faulty.latency_ms.has_value()) << k;
-    if (plain.latency_ms) EXPECT_EQ(*plain.latency_ms, *faulty.latency_ms) << k;
+    if (plain.latency_ms) {
+      EXPECT_EQ(*plain.latency_ms, *faulty.latency_ms) << k;
+    }
     EXPECT_EQ(plain.rounds, faulty.rounds) << k;
 
     const auto no_fault = core::run_latency_execution(5, params, timers, -1, k, seed);
@@ -365,7 +367,9 @@ TEST(FaultHarnessTest, SingleCrashPlanReproducesTable1ExecutionsBitForBit) {
         run_fault_execution(core::Algorithm::kChandraToueg, 5, params, timers, FaultPlan{}, k,
                             seed);
     ASSERT_EQ(no_fault.latency_ms.has_value(), empty_plan.latency_ms.has_value()) << k;
-    if (no_fault.latency_ms) EXPECT_EQ(*no_fault.latency_ms, *empty_plan.latency_ms) << k;
+    if (no_fault.latency_ms) {
+      EXPECT_EQ(*no_fault.latency_ms, *empty_plan.latency_ms) << k;
+    }
   }
 }
 

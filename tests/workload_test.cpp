@@ -296,7 +296,9 @@ TEST(BatchedWorkloadTest, UnbatchedValueViewMirrorsTheInstanceView) {
     EXPECT_DOUBLE_EQ(val.queue_ms, 0.0);
     EXPECT_DOUBLE_EQ(val.arrival_ms, inst.start_ms);
     ASSERT_EQ(val.decided(), inst.decided());
-    if (val.decided()) EXPECT_EQ(*val.consensus_ms, *inst.latency_ms);
+    if (val.decided()) {
+      EXPECT_EQ(*val.consensus_ms, *inst.latency_ms);
+    }
   }
   EXPECT_EQ(res.value_stats.decided, res.stats.decided);
   EXPECT_DOUBLE_EQ(res.value_stats.mean_latency_ms, res.stats.mean_latency_ms);
@@ -334,7 +336,9 @@ TEST(BatchedWorkloadTest, PerValueLatencyDecomposesIntoQueueAndConsensus) {
       const auto* val = members[m];
       // Batch-mates share the decision, so they share the consensus time...
       EXPECT_EQ(val->consensus_ms.has_value(), members.front()->consensus_ms.has_value());
-      if (val->consensus_ms) EXPECT_EQ(*val->consensus_ms, *members.front()->consensus_ms);
+      if (val->consensus_ms) {
+        EXPECT_EQ(*val->consensus_ms, *members.front()->consensus_ms);
+      }
       // ...and vids are assigned at submission, so a batch is consecutive.
       EXPECT_EQ(val->vid, members.front()->vid + static_cast<std::int64_t>(m));
     }
@@ -525,7 +529,18 @@ TEST(SequencerGcTest, GcDoesNotChangeSequencedResults) {
 // Durable recovery & dynamic membership
 // --------------------------------------------------------------------------
 
-TEST(DurableWorkloadTest, FreeDurableLogMatchesVolatileBitForBit) {
+// The durable-log cases run on both algorithms: the log, its replay and the
+// REPLAYQ exchange are shared by the layers, the round re-entry is not.
+class DurableWorkloadTest : public ::testing::TestWithParam<core::Algorithm> {
+ protected:
+  [[nodiscard]] core::WorkloadConfig config(std::size_t n, std::uint64_t seed) const {
+    auto cfg = base_config(n, seed);
+    cfg.algorithm = GetParam();
+    return cfg;
+  }
+};
+
+TEST_P(DurableWorkloadTest, FreeDurableLogMatchesVolatileBitForBit) {
   // Durable on with zero append latency and no faults: the log records
   // everything but never touches the event queue or an RNG, so the stream
   // is bit-identical to the volatile engine.
@@ -534,9 +549,9 @@ TEST(DurableWorkloadTest, FreeDurableLogMatchesVolatileBitForBit) {
   spec.offered_per_s = 400;
   spec.warmup = 5;
   spec.measured = 60;
-  auto durable_cfg = base_config(3, 42);
+  auto durable_cfg = config(3, 42);
   durable_cfg.durable_log = true;
-  const auto volatile_run = core::run_workload(base_config(3, 42), spec);
+  const auto volatile_run = core::run_workload(config(3, 42), spec);
   const auto durable_run = core::run_workload(durable_cfg, spec);
   expect_same_stream(volatile_run, durable_run);
   EXPECT_GT(durable_run.durable_appends, 0u);
@@ -544,11 +559,13 @@ TEST(DurableWorkloadTest, FreeDurableLogMatchesVolatileBitForBit) {
   EXPECT_EQ(volatile_run.durable_appends, 0u);
 }
 
-TEST(DurableWorkloadTest, ReplayRejoinsInFlightInstancesAfterACrash) {
+TEST_P(DurableWorkloadTest, ReplayRejoinsInFlightInstancesAfterACrash) {
   // A burst is in flight when host 0 (the pinned round-1 coordinator under
   // a static detector) crashes. Volatile recovery forgets the in-flight
   // instances, so they stall to the give-up deadline; durable replay
-  // re-enters them after the warm restart and strictly more decide.
+  // re-enters them after the warm restart and strictly more decide. Peers
+  // never suspect host 0, so the restored coordinator itself must re-send
+  // the round-1 traffic its crash cut short.
   core::WorkloadSpec spec;
   spec.arrivals = core::ArrivalProcess::kBurst;
   spec.separation_ms = 0.0;
@@ -557,7 +574,7 @@ TEST(DurableWorkloadTest, ReplayRejoinsInFlightInstancesAfterACrash) {
   spec.instance_timeout_ms = 500.0;
   faults::FaultPlan plan;
   plan.add(faults::FaultPlan::crash_recover(0, 12, 30));
-  auto cfg = base_config(3, 42);
+  auto cfg = config(3, 42);
   cfg.fault_plan = &plan;
   auto durable_cfg = cfg;
   durable_cfg.durable_log = true;  // append latency 0: same timing, plus replay
@@ -569,7 +586,7 @@ TEST(DurableWorkloadTest, ReplayRejoinsInFlightInstancesAfterACrash) {
   EXPECT_GT(durable_run.stats.decided, volatile_run.stats.decided);
 }
 
-TEST(DurableWorkloadTest, RestartStormKeepsTheStreamAliveWithReplay) {
+TEST_P(DurableWorkloadTest, RestartStormKeepsTheStreamAliveWithReplay) {
   // Four consecutive crash/recover cycles on one host under saturating
   // load with a bounded pipeline window (kept full, so every crash catches
   // in-flight instances): with the durable log, coordinator rotation, a
@@ -585,7 +602,7 @@ TEST(DurableWorkloadTest, RestartStormKeepsTheStreamAliveWithReplay) {
   spec.pipeline_window = 8;
   spec.instance_timeout_ms = 200.0;
   spec.resubmit_undecided = true;
-  auto cfg = base_config(3, 43);
+  auto cfg = config(3, 43);
   cfg.fault_plan = &plan;
   cfg.heartbeat_timeout_ms = 10.0;
   cfg.rotate_coordinators = true;
@@ -599,6 +616,13 @@ TEST(DurableWorkloadTest, RestartStormKeepsTheStreamAliveWithReplay) {
     EXPECT_TRUE(val.decided());
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(BothAlgorithms, DurableWorkloadTest,
+                         ::testing::Values(core::Algorithm::kChandraToueg,
+                                           core::Algorithm::kMostefaouiRaynal),
+                         [](const auto& info) {
+                           return info.param == core::Algorithm::kChandraToueg ? "CT" : "MR";
+                         });
 
 TEST(MembershipWorkloadTest, GrowthDeliversEveryValueAcrossEpochs) {
   // 3 -> 4 -> 5 growth decided in-stream: both change instances decide,
