@@ -169,11 +169,13 @@ void SanModel::validate() const {
 
 void SanModel::prepare() const {
   validate();
-  if (dependents_dirty_) build_dependents();
+  if (caches_dirty_) build_caches();
 }
 
-void SanModel::build_dependents() const {
+void SanModel::build_caches() const {
   dependents_.assign(places_.size(), {});
+  needs_.clear();
+  needs_begin_.assign(1, 0);
   for (std::size_t a = 0; a < activities_.size(); ++a) {
     const Activity& act = activities_[a];
     auto note = [&](PlaceId q) {
@@ -186,18 +188,55 @@ void SanModel::build_dependents() const {
     for (const InputGateId g : act.input_gates) {
       for (const PlaceId q : input_gates_[g].reads) note(q);
     }
+    // Arc multiplicities: one need per distinct input place.
+    const std::size_t first = needs_.size();
+    for (const PlaceId p : act.input_places) {
+      const auto seen = std::find_if(needs_.begin() + static_cast<std::ptrdiff_t>(first),
+                                     needs_.end(),
+                                     [p](const InputNeed& n) { return n.place == p; });
+      if (seen == needs_.end()) {
+        needs_.push_back({p, 1});
+      } else {
+        ++seen->count;
+      }
+    }
+    needs_begin_.push_back(static_cast<std::uint32_t>(needs_.size()));
   }
   // Deduplicate (an activity may touch a place through several routes).
   for (auto& vec : dependents_) {
     std::sort(vec.begin(), vec.end());
     vec.erase(std::unique(vec.begin(), vec.end()), vec.end());
   }
-  dependents_dirty_ = false;
+  caches_dirty_ = false;  // enabled() below reads the needs just built
+
+  const Marking initial = initial_marking();
+  initially_enabled_.clear();
+  for (std::size_t a = 0; a < activities_.size(); ++a) {
+    if (enabled(static_cast<ActivityId>(a), initial)) {
+      initially_enabled_.push_back(static_cast<ActivityId>(a));
+    }
+  }
 }
 
 const std::vector<ActivityId>& SanModel::dependents(PlaceId p) const {
-  if (dependents_dirty_) build_dependents();
+  if (caches_dirty_) build_caches();
   return dependents_[p];
+}
+
+bool SanModel::enabled(ActivityId a, const Marking& m) const {
+  if (caches_dirty_) build_caches();
+  for (std::uint32_t i = needs_begin_[a]; i < needs_begin_[a + 1]; ++i) {
+    if (m.get(needs_[i].place) < needs_[i].count) return false;
+  }
+  for (const InputGateId g : activities_[a].input_gates) {
+    if (!input_gates_[g].enabled(m)) return false;
+  }
+  return true;
+}
+
+const std::vector<ActivityId>& SanModel::initially_enabled() const {
+  if (caches_dirty_) build_caches();
+  return initially_enabled_;
 }
 
 }  // namespace sanperf::san

@@ -15,7 +15,8 @@
 // Gates carry an explicit sensitivity list (`reads`): the places whose
 // marking their predicate inspects. The simulator uses these lists to
 // re-evaluate only the activities affected by a firing, which keeps large
-// composed models (hundreds of activities) fast.
+// composed models (hundreds of activities) fast. A gate's `fire` function
+// may write any place; `reads` covers the predicate only.
 #pragma once
 
 #include <cstdint>
@@ -154,16 +155,27 @@ class SanModel {
   /// repeat call on an unmutated model is O(1).
   void validate() const;
 
-  /// Validates and eagerly builds the dependents cache. Call this (from one
-  /// thread) before sharing the model across concurrent simulators: after
-  /// prepare(), all accessors on an unmutated model are read-only and
-  /// thread-safe.
+  /// Validates and eagerly builds the derived caches (dependents, input
+  /// needs, the initially enabled set). Call this (from one thread) before
+  /// sharing the model across concurrent simulators: after prepare(), all
+  /// accessors on an unmutated model are read-only and thread-safe.
   void prepare() const;
 
+  // The accessors below read caches built lazily on first use after the
+  // last mutation; they are NOT thread-safe while the caches are cold (see
+  // prepare()).
+
   /// Activities whose enabling can change when `p` changes (input arcs and
-  /// gate reads). Built lazily on first use after the last mutation; NOT
-  /// thread-safe while the cache is cold (see prepare()).
+  /// gate reads), ascending and without duplicates.
   [[nodiscard]] const std::vector<ActivityId>& dependents(PlaceId p) const;
+
+  /// The enabling rule: every input place holds at least its arc
+  /// multiplicity and every input gate predicate holds in `m`. The one
+  /// definition shared by the simulator and the analytic solver.
+  [[nodiscard]] bool enabled(ActivityId a, const Marking& m) const;
+
+  /// Activities enabled in the initial marking, ascending.
+  [[nodiscard]] const std::vector<ActivityId>& initially_enabled() const;
 
  private:
   friend class ActivityRef;
@@ -173,9 +185,16 @@ class SanModel {
     std::int32_t initial = 0;
   };
 
-  /// Marks cached derived state stale after any structural mutation.
+  /// One input-arc requirement: `place` must hold `count` tokens.
+  struct InputNeed {
+    PlaceId place;
+    std::int32_t count;
+  };
+
+  /// Marks cached derived state stale after any structural mutation
+  /// (including a change of initial tokens).
   void touch() {
-    dependents_dirty_ = true;
+    caches_dirty_ = true;
     validated_ = false;
   }
 
@@ -184,7 +203,7 @@ class SanModel {
     return activities_[a];
   }
 
-  void build_dependents() const;
+  void build_caches() const;
 
   std::vector<PlaceInfo> places_;
   std::vector<Activity> activities_;
@@ -195,9 +214,14 @@ class SanModel {
   // det-lint: allow(unordered-container) name->id lookup only, never iterated
   std::unordered_map<std::string, ActivityId> activity_index_;
 
-  mutable bool dependents_dirty_ = true;
+  mutable bool caches_dirty_ = true;
   mutable bool validated_ = false;
   mutable std::vector<std::vector<ActivityId>> dependents_;
+  /// Input needs of activity a: needs_[needs_begin_[a] .. needs_begin_[a+1]),
+  /// one entry per distinct input place.
+  mutable std::vector<InputNeed> needs_;
+  mutable std::vector<std::uint32_t> needs_begin_;
+  mutable std::vector<ActivityId> initially_enabled_;
 };
 
 }  // namespace sanperf::san

@@ -1,7 +1,7 @@
 #include "san/simulator.hpp"
 
-#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace sanperf::san {
 
@@ -14,15 +14,21 @@ SanSimulator::SanSimulator(const SanModel& model, des::RandomEngine rng)
 void SanSimulator::reset(des::RandomEngine rng) {
   rng_ = rng;
   marking_ = model_->initial_marking();
+  mirror_ = marking_.raw();
   now_ = des::TimePoint::origin();
   queue_.clear();
-  enabled_.assign(model_->activity_count(), 0);
-  scheduled_.assign(model_->activity_count(), des::kInvalidEventId);
-  fire_counts_.assign(model_->activity_count(), 0);
+  const std::size_t activities = model_->activity_count();
+  enabled_.assign(activities, 0);
+  inst_enabled_.reset(activities);
+  affected_.reset(activities);
+  scheduled_.assign(activities, des::kInvalidEventId);
+  fire_counts_.assign(activities, 0);
   total_firings_ = 0;
   for (auto& r : rate_rewards_) r.integral_ms = 0;
   last_accrual_ = des::TimePoint::origin();
-  refresh_all();
+  // Ascending, as a full refresh would visit them, so the initial delay
+  // draws come in activity-id order.
+  for (const ActivityId a : model_->initially_enabled()) set_enabled(a, true);
 }
 
 std::size_t SanSimulator::add_rate_reward(RateFn rate) {
@@ -50,31 +56,16 @@ void SanSimulator::accrue_rewards(des::TimePoint to) {
   last_accrual_ = to;
 }
 
-bool SanSimulator::is_enabled(ActivityId a) const {
-  const Activity& act = model_->activity(a);
-  // Input arcs: the marking must cover each place's multiplicity.
-  for (std::size_t i = 0; i < act.input_places.size(); ++i) {
-    const PlaceId p = act.input_places[i];
-    std::int32_t needed = 0;
-    for (const PlaceId q : act.input_places) {
-      if (q == p) ++needed;
-    }
-    if (marking_.get(p) < needed) return false;
-    (void)i;
-  }
-  for (const InputGateId g : act.input_gates) {
-    if (!model_->in_gate(g).enabled(marking_)) return false;
-  }
-  return true;
-}
-
-void SanSimulator::refresh_activity(ActivityId a) {
-  const bool en = is_enabled(a);
-  if (en == static_cast<bool>(enabled_[a])) return;  // race policy: keep existing activation
+void SanSimulator::set_enabled(ActivityId a, bool en) {
   enabled_[a] = en ? 1 : 0;
   const Activity& act = model_->activity(a);
-  if (!act.timed) return;  // instantaneous set is derived from enabled_ flags
-  if (en) {
+  if (!act.timed) {
+    if (en) {
+      inst_enabled_.insert(a);
+    } else {
+      inst_enabled_.erase(a);
+    }
+  } else if (en) {
     const des::Duration delay = act.delay.sample(rng_);
     scheduled_[a] = queue_.push(now_ + delay, [this, a] { fire(a); });
   } else if (scheduled_[a] != des::kInvalidEventId) {
@@ -83,14 +74,22 @@ void SanSimulator::refresh_activity(ActivityId a) {
   }
 }
 
-void SanSimulator::refresh_all() {
-  for (ActivityId a = 0; a < model_->activity_count(); ++a) refresh_activity(a);
+void SanSimulator::refresh_activity(ActivityId a) {
+  const bool en = model_->enabled(a, marking_);
+  if (en == static_cast<bool>(enabled_[a])) return;  // race policy: keep existing activation
+  set_enabled(a, en);
+}
+
+void SanSimulator::note_if_changed(PlaceId p) {
+  const std::int32_t now_tokens = marking_.get(p);
+  if (mirror_[p] == now_tokens) return;
+  mirror_[p] = now_tokens;
+  for (const ActivityId x : model_->dependents(p)) affected_.insert(x);
 }
 
 void SanSimulator::fire(ActivityId a) {
   accrue_rewards(now_);  // integrate over the marking that held until now
   const Activity& act = model_->activity(a);
-  before_ = marking_.raw();
 
   // Consume input arcs.
   for (const PlaceId p : act.input_places) {
@@ -100,8 +99,12 @@ void SanSimulator::fire(ActivityId a) {
     marking_.add(p, -1);
   }
   // Input gate functions.
+  bool ran_gate_fn = false;
   for (const InputGateId g : act.input_gates) {
-    if (model_->in_gate(g).fire) model_->in_gate(g).fire(marking_);
+    if (model_->in_gate(g).fire) {
+      model_->in_gate(g).fire(marking_);
+      ran_gate_fn = true;
+    }
   }
   // Case selection.
   const Case* chosen = &act.cases.front();
@@ -112,6 +115,7 @@ void SanSimulator::fire(ActivityId a) {
   }
   for (const PlaceId p : chosen->output_places) marking_.add(p, 1);
   for (const OutputGateId g : chosen->output_gates) model_->out_gate(g).fire(marking_);
+  ran_gate_fn = ran_gate_fn || !chosen->output_gates.empty();
 
   ++fire_counts_[a];
   ++total_firings_;
@@ -119,35 +123,58 @@ void SanSimulator::fire(ActivityId a) {
 
   // The fired activity's activation is spent: force re-evaluation.
   enabled_[a] = 0;
-  if (act.timed) scheduled_[a] = des::kInvalidEventId;
+  if (act.timed) {
+    scheduled_[a] = des::kInvalidEventId;
+  } else {
+    inst_enabled_.erase(a);
+  }
 
   // Re-evaluate only activities sensitive to changed places (plus `a`).
-  affected_.clear();
-  affected_.push_back(a);
-  const auto& after = marking_.raw();
-  for (std::size_t p = 0; p < after.size(); ++p) {
-    if (before_[p] == after[p]) continue;
-    const auto& deps = model_->dependents(static_cast<PlaceId>(p));
-    affected_.insert(affected_.end(), deps.begin(), deps.end());
+  // Without gate functions only the arcs' places can have changed; a gate
+  // function may write anywhere, so then the whole marking is compared.
+  affected_.insert(a);
+  if (ran_gate_fn) {
+    for (PlaceId p = 0; p < mirror_.size(); ++p) note_if_changed(p);
+  } else {
+    for (const PlaceId p : act.input_places) note_if_changed(p);
+    for (const PlaceId p : chosen->output_places) note_if_changed(p);
   }
-  std::sort(affected_.begin(), affected_.end());
-  affected_.erase(std::unique(affected_.begin(), affected_.end()), affected_.end());
-  for (const ActivityId x : affected_) refresh_activity(x);
+  affected_.for_each([this](ActivityId x) { refresh_activity(x); });
+  affected_.clear();
+  SANPERF_AUDIT_ONLY(audit_check_incremental_state();)
 }
 
 std::optional<ActivityId> SanSimulator::pick_instantaneous() {
-  // Scan the (static) set of instantaneous activities for enabled ones.
   inst_ids_.clear();
-  inst_weights_.clear();
-  for (ActivityId a = 0; a < model_->activity_count(); ++a) {
-    if (!enabled_[a] || model_->activity(a).timed) continue;
-    inst_ids_.push_back(a);
-    inst_weights_.push_back(model_->activity(a).weight);
-  }
+  inst_enabled_.for_each([this](ActivityId a) { inst_ids_.push_back(a); });
   if (inst_ids_.empty()) return std::nullopt;
   if (inst_ids_.size() == 1) return inst_ids_.front();
+  inst_weights_.clear();
+  for (const ActivityId a : inst_ids_) inst_weights_.push_back(model_->activity(a).weight);
   return inst_ids_[rng_.categorical(inst_weights_)];
 }
+
+#if SANPERF_AUDIT_ENABLED
+void SanSimulator::audit_check_incremental_state() const {
+  // One check per firing: find the first activity whose cached state
+  // disagrees with a fresh evaluation (predicates are pure; no draws).
+  std::string stale;
+  for (ActivityId a = 0; a < model_->activity_count() && stale.empty(); ++a) {
+    const bool en = enabled_[a] != 0;
+    const Activity& act = model_->activity(a);
+    const bool in_set = inst_enabled_.contains(a);
+    if (en != model_->enabled(a, marking_)) {
+      stale = "cached enabled flag of " + act.name + " is stale";
+    } else if (in_set != (en && !act.timed)) {
+      stale = "instantaneous set disagrees with the enabled flag of " + act.name;
+    } else if (act.timed && en && !queue_.pending(scheduled_[a])) {
+      stale = "enabled timed activity " + act.name + " has no live event";
+    }
+  }
+  if (stale.empty() && mirror_ != marking_.raw()) stale = "marking mirror out of sync";
+  SANPERF_AUDIT_CHECK("san.incremental_state", stale.empty(), stale);
+}
+#endif
 
 void SanSimulator::settle_instantaneous() {
   std::uint64_t burst = 0;

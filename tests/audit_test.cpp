@@ -27,6 +27,8 @@
 #include "fd/failure_detector.hpp"
 #include "net/network.hpp"
 #include "runtime/cluster.hpp"
+#include "san/model.hpp"
+#include "san/simulator.hpp"
 #include "topo/topology.hpp"
 
 namespace sanperf {
@@ -411,6 +413,25 @@ TEST_F(AuditTest, LogCompactionRewindTrips) {
   for (std::int32_t cid = 0; cid < 6; ++cid) log.state(cid).started = true;
   log.compact(4);
   EXPECT_EQ(tripped([&] { log.compact(2); }), "consensus.gc_watermark_monotonic");
+}
+
+// --- san/ --------------------------------------------------------------------
+
+TEST_F(AuditTest, StaleSanEnabledFlagTripsIncrementalState) {
+  san::SanModel model;
+  const san::PlaceId a = model.place("a", 1);
+  const san::PlaceId b = model.place("b");
+  const san::PlaceId idle = model.place("idle");
+  model.timed_activity("t", san::Distribution::deterministic_ms(1)).in(a).out(b);
+  const auto never = model.timed_activity("never", san::Distribution::deterministic_ms(1))
+                         .in(idle)
+                         .out(b);
+  san::SanSimulator clean{model, des::RandomEngine{1}};
+  EXPECT_EQ(tripped([&] { (void)clean.run(); }), "");
+
+  san::SanSimulator sim{model, des::RandomEngine{1}};
+  sim.audit_corrupt_enabled_flag(never.id());  // cached as enabled, yet `idle` is empty
+  EXPECT_EQ(tripped([&] { (void)sim.run(); }), "san.incremental_state");
 }
 
 }  // namespace
