@@ -1,6 +1,6 @@
-// Microbenchmarks of the substrates: event queue, SAN firing loop,
-// contention network, consensus emulation, SAN consensus replication, and
-// the parallel replication engine's thread scaling.
+// Microbenchmarks of the substrates: random substreams, event queue, SAN
+// firing loop, contention network, consensus emulation, SAN consensus
+// replication, and the parallel replication engine's thread scaling.
 #include <benchmark/benchmark.h>
 
 #include <any>
@@ -22,6 +22,21 @@
 namespace {
 
 using namespace sanperf;
+
+// Substream setup plus d draws, the per-engine cost of a one-shot cluster
+// (most of its engines draw a few hundred words at most, many draw none).
+void BM_RandomEngineSubstream(benchmark::State& state) {
+  const auto draws = state.range(0);
+  const des::RandomEngine master{5};
+  std::uint64_t index = 0;
+  for (auto _ : state) {
+    des::RandomEngine rng = master.substream("proc", index++);
+    for (std::int64_t i = 0; i < draws; ++i) benchmark::DoNotOptimize(rng.next_u64());
+    benchmark::DoNotOptimize(rng);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RandomEngineSubstream)->Arg(0)->Arg(1)->Arg(8)->Arg(32)->Arg(128)->Arg(400);
 
 void BM_EventQueuePushPop(benchmark::State& state) {
   des::RandomEngine rng{1};

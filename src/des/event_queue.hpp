@@ -83,6 +83,14 @@ class EventAction {
     }
   }
 
+  /// True when a callable of type F is stored inline, without allocation.
+  /// Hot-path closures static_assert it so a capture change that forces the
+  /// heap fallback fails to compile.
+  template <typename F>
+  static constexpr bool fits_inline_v = sizeof(F) <= kInlineBytes &&
+                                        alignof(F) <= alignof(std::max_align_t) &&
+                                        std::is_nothrow_move_constructible_v<F>;
+
  private:
   struct VTable {
     void (*invoke)(void*);
@@ -90,11 +98,6 @@ class EventAction {
     void (*relocate)(void* dst, void* src) noexcept;
     void (*destroy)(void*) noexcept;
   };
-
-  template <typename F>
-  static constexpr bool fits_inline_v = sizeof(F) <= kInlineBytes &&
-                                        alignof(F) <= alignof(std::max_align_t) &&
-                                        std::is_nothrow_move_constructible_v<F>;
 
   template <typename F>
   static const VTable* inline_vtable() {

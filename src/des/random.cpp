@@ -1,6 +1,7 @@
 #include "des/random.hpp"
 
 #include <cmath>
+#include <random>
 #include <stdexcept>
 #include <vector>
 

@@ -6,6 +6,19 @@
 
 namespace sanperf::net {
 
+namespace {
+
+/// Passes a per-frame closure through unchanged, and fails to compile if
+/// EventAction would have to heap-allocate it (a capture too large or not
+/// nothrow-movable, e.g. a `const FrameRef` member).
+template <typename F>
+F inline_action(F f) {
+  static_assert(des::EventAction::fits_inline_v<F>, "closure would heap-allocate");
+  return f;
+}
+
+}  // namespace
+
 void FifoServer::submit(des::Duration service, des::EventAction on_done, std::size_t weight) {
   Job job{service, std::move(on_done), weight};
   if (busy_) {
@@ -51,25 +64,26 @@ std::size_t FifoServer::drain(bool drop_in_service) {
 }
 
 HubMedium::HubMedium(des::Simulator& sim, des::RandomEngine rng, std::size_t hosts)
-    : sim_{&sim}, rng_{rng}, queues_(hosts) {}
+    : sim_{&sim}, rng_{std::move(rng)}, queues_(hosts) {}
 
 void HubMedium::submit(HostId src, des::Duration service, des::EventAction on_done) {
-  queues_.at(src).push_back({service, std::move(on_done)});
+  auto& queue = queues_.at(src);
+  if (queue.empty()) ++ready_hosts_;
+  queue.push_back({service, std::move(on_done)});
   ++backlog_;
   if (!busy_) start_next();
 }
 
 void HubMedium::start_next() {
   if (backlog_ == 0) return;
-  // Uniform choice among backlogged hosts; each host transmits in FIFO.
-  std::vector<HostId> ready;
-  for (HostId h = 0; h < static_cast<HostId>(queues_.size()); ++h) {
-    if (!queues_[h].empty()) ready.push_back(h);
-  }
-  const HostId winner =
-      ready[static_cast<std::size_t>(rng_.uniform_int(0, static_cast<std::int64_t>(ready.size()) - 1))];
+  // Uniform choice among backlogged hosts: draw k, then walk to the k-th
+  // non-empty queue in host order. Each host transmits in FIFO.
+  auto k = rng_.uniform_int(0, static_cast<std::int64_t>(ready_hosts_) - 1);
+  HostId winner = 0;
+  while (queues_[winner].empty() || k-- > 0) ++winner;
   Frame frame = std::move(queues_[winner].front());
   queues_[winner].pop_front();
+  if (queues_[winner].empty()) --ready_hosts_;
   --backlog_;
   busy_ = true;
   current_done_ = std::move(frame.on_done);
@@ -165,7 +179,7 @@ void ContentionNetwork::submit_unicast(FrameRef frame, HostId dst, bool wire, Fr
   // Step 2: sender CPU.
   const HostId src = frame.src();
   cpus_[src].submit(des::Duration::from_ms(params_.send_cpu_ms * cpu_scale_[src]),
-                    [this, frame = std::move(frame), dst, wire, cls]() mutable {
+                    inline_action([this, frame = std::move(frame), dst, wire, cls]() mutable {
                       if (!wire) {
                         ++frames_dropped_;
                         SANPERF_AUDIT_ONLY(--audit_in_flight_;)
@@ -181,10 +195,11 @@ void ContentionNetwork::submit_unicast(FrameRef frame, HostId dst, bool wire, Fr
                                                                         : params_.wire_service;
                       const HostId fsrc = frame.src();
                       const des::Duration service = sample(wire_dist);
-                      medium_.submit(fsrc, service, [this, frame = std::move(frame), dst] {
-                        receiver_edge(frame, dst);
-                      });
-                    });
+                      medium_.submit(fsrc, service,
+                                     inline_action([this, frame = std::move(frame), dst] {
+                                       receiver_edge(frame, dst);
+                                     }));
+                    }));
 }
 
 void ContentionNetwork::broadcast(HostId src, FrameBody body, FrameClass cls) {
@@ -232,7 +247,7 @@ void ContentionNetwork::broadcast(HostId src, FrameBody body, FrameClass cls) {
   if (total == 0) return;
   cpus_[src].submit(
       des::Duration::from_ms(params_.send_cpu_ms * cpu_scale_[src] * static_cast<double>(total)),
-      [this, frame = std::move(frame), cls, absorbed]() mutable {
+      inline_action([this, frame = std::move(frame), cls, absorbed]() mutable {
         if (absorbed > 0) {
           frames_dropped_ += absorbed;
           SANPERF_AUDIT_ONLY(audit_in_flight_ -= absorbed;)
@@ -245,14 +260,14 @@ void ContentionNetwork::broadcast(HostId src, FrameBody body, FrameClass cls) {
         des::Duration burst = des::Duration::zero();
         for (std::size_t i = 0; i < frame.bcast_dsts().size(); ++i) burst += sample(wire_dist);
         const HostId fsrc = frame.src();
-        medium_.submit(fsrc, burst, [this, frame = std::move(frame)] {
-          // Index-based walk: a receiver's handler may send and grow the
-          // pool while we iterate.
-          for (std::size_t i = 0; i < frame.bcast_dsts().size(); ++i) {
-            receiver_edge_batched(frame, frame.bcast_dsts()[i]);
-          }
-        });
-      },
+        medium_.submit(fsrc, burst, inline_action([this, frame = std::move(frame)] {
+                         // Index-based walk: a receiver's handler may send and
+                         // grow the pool while we iterate.
+                         for (std::size_t i = 0; i < frame.bcast_dsts().size(); ++i) {
+                           receiver_edge_batched(frame, frame.bcast_dsts()[i]);
+                         }
+                       }));
+      }),
       /*weight=*/total);
 }
 
@@ -280,20 +295,21 @@ void ContentionNetwork::route_hop(FrameRef frame, HostId dst, FrameClass cls,
   if (lp.service_scale != 1.0) {
     service = des::Duration::from_ms(service.to_ms() * lp.service_scale);
   }
-  link.server.submit(service, [this, frame = std::move(frame), dst, cls, step, li]() mutable {
+  link.server.submit(service, inline_action([this, frame = std::move(frame), dst, cls, step,
+                                             li]() mutable {
     ++links_[li].exited;
     // The link's propagation delay is non-exclusive: the server frees up
     // while the frame is still on the wire towards the next hop.
     const double latency_ms = routes_->link(li).params.latency_ms;
     if (latency_ms > 0) {
       sim_->schedule(des::Duration::from_ms(latency_ms),
-                     [this, frame = std::move(frame), dst, cls, step]() mutable {
+                     inline_action([this, frame = std::move(frame), dst, cls, step]() mutable {
                        route_hop(std::move(frame), dst, cls, step + 1);
-                     });
+                     }));
     } else {
       route_hop(std::move(frame), dst, cls, step + 1);
     }
-  });
+  }));
 }
 
 void ContentionNetwork::receiver_edge(FrameRef frame, HostId dst) {
@@ -304,8 +320,9 @@ void ContentionNetwork::receiver_edge(FrameRef frame, HostId dst) {
   if (pipeline_scale_ != 1.0) {
     pipeline = des::Duration::from_ms(pipeline.to_ms() * pipeline_scale_);
   }
-  sim_->schedule(pipeline,
-                 [this, frame = std::move(frame), dst] { edge_arrive(frame, dst); });
+  sim_->schedule(pipeline, inline_action([this, frame = std::move(frame), dst] {
+                   edge_arrive(frame, dst);
+                 }));
 }
 
 void ContentionNetwork::receiver_edge_batched(const FrameRef& frame, HostId dst) {
@@ -314,7 +331,10 @@ void ContentionNetwork::receiver_edge_batched(const FrameRef& frame, HostId dst)
     pipeline = des::Duration::from_ms(pipeline.to_ms() * pipeline_scale_);
   }
   if (pipeline > des::Duration::zero()) {
-    sim_->schedule(pipeline, [this, frame, dst] { edge_arrive(frame, dst); });
+    // FrameRef{frame} makes the capture a movable FrameRef, not a const one.
+    sim_->schedule(pipeline, inline_action([this, frame = FrameRef{frame}, dst] {
+                     edge_arrive(frame, dst);
+                   }));
   } else {
     edge_arrive(frame, dst);  // zero latency: no event, arrive in place
   }
@@ -357,7 +377,7 @@ void ContentionNetwork::edge_arrive(const FrameRef& frame, HostId dst) {
   for (int c = 0; c < copies; ++c) {
     // Step 6: receiver CPU.
     cpus_[dst].submit(des::Duration::from_ms(params_.recv_cpu_ms * cpu_scale_[dst]),
-                      [this, frame, dst] {
+                      inline_action([this, frame = FrameRef{frame}, dst] {
                         if (down_[dst]) {
                           ++frames_dropped_;
                           SANPERF_AUDIT_ONLY(--audit_in_flight_;)
@@ -369,7 +389,7 @@ void ContentionNetwork::edge_arrive(const FrameRef& frame, HostId dst) {
                                             "delivery to crashed host " + std::to_string(dst));
                         SANPERF_AUDIT_ONLY(++audit_delivered_; --audit_in_flight_;)
                         if (deliver_) deliver_(frame.packet(dst));  // step 7
-                      });
+                      }));
   }
 }
 

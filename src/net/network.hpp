@@ -123,6 +123,7 @@ class HubMedium {
   des::RandomEngine rng_;
   std::vector<std::deque<Frame>> queues_;  // per source host
   std::size_t backlog_ = 0;
+  std::size_t ready_hosts_ = 0;  // hosts whose queue is non-empty
   bool busy_ = false;
   des::EventAction current_done_;
   des::Duration busy_time_ = des::Duration::zero();

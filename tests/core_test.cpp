@@ -2,6 +2,7 @@
 // calibration, simulation wrappers and the experiment drivers.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 #include "core/calibration.hpp"

@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <map>
+#include <random>
 #include <vector>
 
 #include "des/event_queue.hpp"
@@ -477,6 +480,124 @@ TEST(RandomTest, UniformIntCoversRangeInclusive) {
   }
   EXPECT_TRUE(saw_lo);
   EXPECT_TRUE(saw_hi);
+}
+
+// Mt64 must reproduce the standard 64-bit Mersenne Twister word for word:
+// every golden and digest was produced by std::mt19937_64. The draw counts
+// straddle the lazy-seeding boundary (a draw k < 156 seeds through word
+// k + 156) and the generation boundaries at 312 and 624.
+const std::vector<int> kDrawCounts{0, 1, 155, 156, 157, 311, 312, 313, 624, 1000};
+
+std::vector<std::uint64_t> equivalence_seeds() {
+  std::vector<std::uint64_t> seeds{0, ~std::uint64_t{0}, 1, 5489};
+  for (std::uint64_t i = 0; seeds.size() < 1004; ++i) seeds.push_back(mix64(i));
+  return seeds;
+}
+
+TEST(Mt64Test, MatchesStdEngineForEverySeedAndDrawCount) {
+  static_assert(Mt64::min() == std::mt19937_64::min());
+  static_assert(Mt64::max() == std::mt19937_64::max());
+  for (const std::uint64_t seed : equivalence_seeds()) {
+    for (const int count : kDrawCounts) {
+      Mt64 lazy{seed};
+      std::mt19937_64 ref{seed};
+      for (int i = 0; i < count; ++i) {
+        ASSERT_EQ(lazy(), ref()) << "seed " << seed << " draw " << i << " of " << count;
+      }
+    }
+  }
+}
+
+TEST(Mt64Test, CopiesAndMovesTakenMidStreamContinueBothSequences) {
+  const std::vector<std::uint64_t> seeds = equivalence_seeds();
+  for (std::size_t s = 0; s < 64; ++s) {
+    const std::uint64_t seed = seeds[s];
+    for (const int count : kDrawCounts) {
+      Mt64 lazy{seed};
+      std::mt19937_64 ref{seed};
+      for (int i = 0; i < count; ++i) ASSERT_EQ(lazy(), ref());
+
+      Mt64 copied{lazy};
+      Mt64 moved{Mt64{lazy}};
+      // Assign over engines that stand both behind and ahead of the source,
+      // so words the source has not seeded yet are stale in the target.
+      Mt64 assigned_fresh{seed ^ 1};
+      assigned_fresh = lazy;
+      Mt64 assigned_used{seed ^ 2};
+      for (int i = 0; i < 700; ++i) static_cast<void>(assigned_used());
+      assigned_used = lazy;
+      Mt64 move_assigned{seed ^ 3};
+      move_assigned = Mt64{lazy};
+      std::mt19937_64 ref_copy{ref};
+
+      for (int i = 0; i < 700; ++i) {
+        const std::uint64_t want = ref();
+        ASSERT_EQ(ref_copy(), want);
+        ASSERT_EQ(lazy(), want) << "seed " << seed << " after " << count << " + " << i;
+        ASSERT_EQ(copied(), want) << "seed " << seed << " after " << count << " + " << i;
+        ASSERT_EQ(moved(), want) << "seed " << seed << " after " << count << " + " << i;
+        ASSERT_EQ(assigned_fresh(), want) << "seed " << seed << " after " << count << " + " << i;
+        ASSERT_EQ(assigned_used(), want) << "seed " << seed << " after " << count << " + " << i;
+        ASSERT_EQ(move_assigned(), want) << "seed " << seed << " after " << count << " + " << i;
+      }
+    }
+  }
+}
+
+// Each RandomEngine method against the same formula applied to the standard
+// engine seeded as RandomEngine seeds Mt64 (mix64 of the engine seed). Calls
+// are interleaved so every method also runs past generation boundaries.
+double ref_uniform01(std::mt19937_64& ref) { return static_cast<double>(ref() >> 11) * 0x1.0p-53; }
+
+TEST(RandomTest, EveryMethodMatchesTheStdEngineFormula) {
+  const std::vector<double> weights{0.5, 0.0, 2.0, 1.5};
+  const std::vector<std::uint64_t> seeds = equivalence_seeds();
+  for (std::size_t s = 0; s < 100; ++s) {
+    RandomEngine rng{seeds[s]};
+    std::mt19937_64 ref{mix64(seeds[s])};
+    for (int i = 0; i < 400; ++i) {
+      switch (i % 10) {
+        case 0:
+          ASSERT_EQ(rng.uniform(-2.0, 3.5), -2.0 + 5.5 * ref_uniform01(ref));
+          break;
+        case 1:
+          ASSERT_EQ(rng.uniform_int(-7, 1000),
+                    std::uniform_int_distribution<std::int64_t>(-7, 1000)(ref));
+          break;
+        case 2:  // a one-value range still consumes a word
+          ASSERT_EQ(rng.uniform_int(42, 42),
+                    std::uniform_int_distribution<std::int64_t>(42, 42)(ref));
+          break;
+        case 3: {
+          double u = ref_uniform01(ref);
+          if (u <= 0.0) u = 0x1.0p-53;
+          ASSERT_EQ(rng.exponential_mean(2.5), -2.5 * std::log(u));
+          break;
+        }
+        case 4:  // a fresh distribution per call: no cached second variate
+          ASSERT_EQ(rng.normal(1.0, 0.3), std::normal_distribution<double>(1.0, 0.3)(ref));
+          break;
+        case 5:
+          ASSERT_EQ(rng.weibull(1.5, 2.0), std::weibull_distribution<double>(1.5, 2.0)(ref));
+          break;
+        case 6:
+          ASSERT_EQ(rng.bernoulli(0.3), ref_uniform01(ref) < 0.3);
+          break;
+        case 7: {
+          double x = ref_uniform01(ref) * 4.0;
+          std::size_t want = 0;
+          while (want + 1 < weights.size() && (x -= weights[want]) >= 0) ++want;
+          ASSERT_EQ(rng.categorical(weights), want);
+          break;
+        }
+        case 8:
+          ASSERT_EQ(rng.uniform01(), ref_uniform01(ref));
+          break;
+        default:
+          ASSERT_EQ(rng.next_u64(), ref());
+      }
+    }
+  }
 }
 
 TEST(RandomTest, WeibullShapeOneIsExponential) {
