@@ -38,10 +38,9 @@ void CtConsensus::advance_round(std::int32_t cid, Instance& inst) {
   // Phase 3: wait for the proposal -- unless it is already here (we were
   // slower than the coordinator).
   inst.phase = Phase::kWaitProp;
-  const auto buffered = inst.buffered_props.find(r);
-  if (buffered != inst.buffered_props.end()) {
-    const Message prop = buffered->second;
-    inst.buffered_props.erase(buffered);
+  if (const Message* buffered = inst.buffered_props.find(r)) {
+    const Message prop = *buffered;
+    inst.buffered_props.erase(r);
     handle_proposal(cid, inst, prop);
   }
 }
@@ -54,7 +53,7 @@ void CtConsensus::send_estimate(std::int32_t cid, const Instance& inst, HostId t
 }
 
 void CtConsensus::record_estimate(std::int32_t cid, Instance& inst, std::int32_t round,
-                                  const std::vector<std::int64_t>& value, std::int32_t ts) {
+                                  detail::Payload value, std::int32_t ts) {
   inst.ests[round].add(value, ts);
   maybe_propose(cid, inst);
 }
@@ -62,11 +61,11 @@ void CtConsensus::record_estimate(std::int32_t cid, Instance& inst, std::int32_t
 void CtConsensus::maybe_propose(std::int32_t cid, Instance& inst) {
   if (inst.phase != Phase::kCoordWaitEst) return;
   const std::int32_t r = inst.round;
-  const auto it = inst.ests.find(r);
-  if (it == inst.ests.end() || it->second.count < majority(inst)) return;
+  const detail::CtRound::EstimateSet* ests = inst.ests.find(r);
+  if (ests == nullptr || ests->count < majority(inst)) return;
 
   // Phase 2: adopt the estimate with the largest timestamp and propose it.
-  inst.estimate = it->second.best_value;
+  inst.estimate = ests->best_value;
   inst.ts = r;
   inst.phase = Phase::kCoordWaitReply;
   inst.acks[r] += 1;  // the coordinator's own (local) positive reply
@@ -91,7 +90,8 @@ void CtConsensus::handle_proposal(std::int32_t cid, Instance& inst, const Messag
   // adopting round r sets ts = r, and no synchronous path re-enters with
   // ts already at m.round.
   if (inst.ts == m.round) return;
-  inst.estimate = detail::payload_of(m);
+  const detail::Payload proposal = detail::payload_of(m);
+  inst.estimate.assign(proposal.begin(), proposal.end());
   inst.ts = m.round;
   record_state(cid, inst);
   Message ack = make_message(MsgKind::kAck, cid, m.round);
@@ -118,15 +118,15 @@ void CtConsensus::maybe_conclude_round(std::int32_t cid, Instance& inst) {
   // never comes (see advance_round on liveness).
   if (inst.phase != Phase::kCoordWaitReply) return;
   const std::int32_t r = inst.round;
-  const auto nack_it = inst.nacks.find(r);
-  if (nack_it != inst.nacks.end() && nack_it->second > 0) {
+  const std::int32_t* nacks = inst.nacks.find(r);
+  if (nacks != nullptr && *nacks > 0) {
     // Phase 4, negative outcome: at least one nack -> next round.
     ++stats_.rounds_aborted;
     advance_round(cid, inst);
     return;
   }
-  const auto ack_it = inst.acks.find(r);
-  if (ack_it != inst.acks.end() && ack_it->second >= majority(inst)) {
+  const std::int32_t* acks = inst.acks.find(r);
+  if (acks != nullptr && *acks >= majority(inst)) {
     decide(cid, inst, inst.estimate, r);
   }
 }
@@ -143,7 +143,8 @@ void CtConsensus::on_round_message(Instance& inst, const Message& m) {
       if (inst.phase == Phase::kWaitProp && m.round == inst.round) {
         handle_proposal(m.cid, inst, m);
       } else if (m.round > inst.round) {
-        inst.buffered_props.emplace(m.round, m);
+        auto [slot, inserted] = inst.buffered_props.emplace(m.round);
+        if (inserted) slot = m;
       }
       // proposals for past rounds are stale: we already acked or nacked
       break;

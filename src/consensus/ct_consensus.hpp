@@ -20,10 +20,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "consensus/instance_stream.hpp"
+#include "consensus/payload.hpp"
+#include "consensus/round_map.hpp"
 
 namespace sanperf::consensus {
 
@@ -45,21 +46,30 @@ struct CtRound {
     std::vector<std::int64_t> best_value;
     std::int32_t best_ts = -1;
 
-    void add(const std::vector<std::int64_t>& value, std::int32_t ts) {
+    void add(Payload value, std::int32_t ts) {
       ++count;
       if (ts > best_ts) {
         best_ts = ts;
-        best_value = value;
+        best_value.assign(value.begin(), value.end());
       }
     }
   };
 
   Phase phase = Phase::kIdle;
   std::int32_t ts = 0;  ///< round in which the estimate was last adopted
-  std::map<std::int32_t, EstimateSet> ests;                // per round
-  std::map<std::int32_t, std::int32_t> acks;               // per round (incl. own)
-  std::map<std::int32_t, std::int32_t> nacks;              // per round
-  std::map<std::int32_t, runtime::Message> buffered_props; // proposals for future rounds
+  RoundMap<EstimateSet> ests;                // per round
+  RoundMap<std::int32_t> acks;               // per round (incl. own)
+  RoundMap<std::int32_t> nacks;              // per round
+  RoundMap<runtime::Message> buffered_props; // proposals for future rounds
+
+  void clear() {
+    phase = Phase::kIdle;
+    ts = 0;
+    ests.clear();
+    acks.clear();
+    nacks.clear();
+    buffered_props.clear();
+  }
 };
 
 }  // namespace detail
@@ -80,6 +90,11 @@ class CtConsensus : public InstanceStream<CtConsensus, detail::CtRound> {
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
+  void on_reset() override {
+    InstanceStream::on_reset();
+    stats_ = {};
+  }
+
  private:
   friend InstanceStream;
   using Phase = detail::CtRound::Phase;
@@ -98,7 +113,7 @@ class CtConsensus : public InstanceStream<CtConsensus, detail::CtRound> {
   void answer_replay_query(Instance& inst, const Message& m);
 
   void record_estimate(std::int32_t cid, Instance& inst, std::int32_t round,
-                       const std::vector<std::int64_t>& value, std::int32_t ts);
+                       detail::Payload value, std::int32_t ts);
   void maybe_propose(std::int32_t cid, Instance& inst);
   void handle_proposal(std::int32_t cid, Instance& inst, const Message& m);
   void maybe_conclude_round(std::int32_t cid, Instance& inst);

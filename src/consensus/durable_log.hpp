@@ -113,6 +113,14 @@ class DurableLog {
 
   void note_replayed(std::uint64_t instances) { stats_.replayed += instances; }
 
+  /// Empties the log and zeroes its statistics; the configuration stays.
+  void reset() {
+    states_.clear();
+    tail_ms_ = 0.0;
+    stats_ = {};
+    SANPERF_AUDIT_ONLY(audit_compact_floor_ = 0;)
+  }
+
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:

@@ -70,6 +70,15 @@ class InstanceGc {
     SANPERF_AUDIT_ONLY(if (floor_ > audit_floor_seen_) audit_floor_seen_ = floor_;)
   }
 
+  /// Forgets every collection (watermark back to 0); `enabled` stays.
+  void reset() {
+    floor_ = 0;
+    out_of_order_.clear();
+    ready_.clear();
+    collected_ = 0;
+    SANPERF_AUDIT_ONLY(audit_floor_seen_ = 0;)
+  }
+
   /// Lifetime count of collected instances.
   [[nodiscard]] std::uint64_t collected_count() const { return collected_; }
   /// Decided cids currently held above the watermark (the reordering

@@ -43,12 +43,21 @@
 // append) or gets `round` and `replay_round` from the record and is handed
 // to resume_round. If it is still undecided afterwards, a REPLAYQ for its
 // round goes to every member of its epoch.
+//
+// on_reset (Cluster::reset) moves every instance's map node into a spare
+// map instead of freeing it; a recycled node is re-keyed and cleared in
+// place (Instance::recycle, Round::clear), so a reset layer runs the same
+// instances again without allocating. Round additionally defines
+//   void clear()              back to a default-constructed round state,
+//                             keeping the capacity of its containers.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -91,6 +100,10 @@ class InstanceStream : public runtime::Layer {
   }
   void on_message(const Message& m) override;
   void on_crash() override;
+  /// Forgets every instance, the log's records and the GC watermark;
+  /// settings (callback, relay, rotation, log configuration, GC, view)
+  /// stay. Instance storage is recycled, not freed.
+  void on_reset() override;
   /// Warm restart. Without a durable log, consensus state is volatile: a
   /// rebooted process forgets every in-flight instance and rejoins
   /// passively -- it takes part in instances proposed after the restart,
@@ -102,12 +115,10 @@ class InstanceStream : public runtime::Layer {
   void on_restart() override;
 
   /// Starts instance `cid` with this process's initial value.
-  void propose(std::int32_t cid, std::int64_t value) {
-    propose(cid, std::vector<std::int64_t>{value});
-  }
+  void propose(std::int32_t cid, std::int64_t value) { propose(cid, detail::Payload{&value, 1}); }
   /// Batched form: the instance carries a whole vector of client values
   /// (one Batcher batch); agreement is on the vector as a unit.
-  void propose(std::int32_t cid, std::vector<std::int64_t> values);
+  void propose(std::int32_t cid, detail::Payload values);
 
   /// Round-robins the *round-1* coordinator across instances (`cid % n`)
   /// instead of always host 0, so a single host crash stalls only 1/n of a
@@ -219,11 +230,28 @@ class InstanceStream : public runtime::Layer {
     /// must count each peer once. -1 = not a restored round.
     std::int32_t replay_round = -1;
     std::set<HostId> replay_seen;
+
+    /// Back to a default-constructed instance, keeping vector capacity.
+    void recycle() {
+      Round::clear();
+      started = false;
+      decided = false;
+      decide_pending = false;
+      decide_broadcast = false;
+      epoch = 0;
+      epoch_set = false;
+      decision.clear();
+      decision_round = 0;
+      round = 0;
+      estimate.clear();
+      replay_round = -1;
+      replay_seen.clear();
+    }
   };
 
   /// A consensus message of `kind` for instance `cid`, round `round`.
   static Message make_message(MsgKind kind, std::int32_t cid, std::int32_t round,
-                              const std::vector<std::int64_t>& payload = {}) {
+                              detail::Payload payload = {}) {
     Message m;
     m.kind = kind;
     m.cid = cid;
@@ -248,8 +276,21 @@ class InstanceStream : public runtime::Layer {
   /// Runs `fn` after one durable append completes: inline when the log is
   /// disabled or the latency is 0, else after the charged delay (the timer
   /// is epoch-guarded, so a crash mid-write kills the step -- replay
-  /// re-drives it).
-  void durable_apply(std::function<void()> fn);
+  /// re-drives it). `fn` is invoked or moved into the timer event
+  /// directly, so a disabled log costs no closure allocation.
+  template <typename Fn>
+  void durable_apply(Fn&& fn) {
+    if (!log_.enabled()) {
+      fn();
+      return;
+    }
+    const double delay = log_.charge_ms(process().now().to_ms());
+    if (!(delay > 0)) {
+      fn();
+      return;
+    }
+    process().set_timer(des::Duration::from_ms(delay), std::forward<Fn>(fn));
+  }
   /// Folds the instance's replayable state into its log record (no charge;
   /// charges happen at the write-ahead points that defer a visible step).
   void record_state(std::int32_t cid, const Instance& inst) {
@@ -261,18 +302,28 @@ class InstanceStream : public runtime::Layer {
     rec.epoch = inst.epoch;
     Derived::record_round(rec, inst);
   }
-  void decide(std::int32_t cid, Instance& inst, const std::vector<std::int64_t>& value,
-              std::int32_t round);
+  void decide(std::int32_t cid, Instance& inst, detail::Payload value, std::int32_t round);
 
   FailureDetector* fd_;
   DurableLog log_;
 
  private:
   Derived& derived() { return static_cast<Derived&>(*this); }
+  /// The state of `cid`, created (from a recycled node when one is spare)
+  /// on first touch.
   Instance& instance(std::int32_t cid) {
-    Instance& inst = instances_[cid];
+    auto it = instances_.lower_bound(cid);
+    if (it != instances_.end() && it->first == cid) return it->second;
+    if (spare_.empty()) {
+      it = instances_.emplace_hint(it, cid, Instance{});
+    } else {
+      auto node = spare_.extract(spare_.begin());
+      node.key() = cid;
+      node.mapped().recycle();
+      it = instances_.insert(it, std::move(node));
+    }
     if (instances_.size() > peak_active_) peak_active_ = instances_.size();
-    return inst;
+    return it->second;
   }
   static void touch_epoch(Instance& inst, std::uint32_t epoch) {
     if (!inst.epoch_set) {
@@ -283,8 +334,27 @@ class InstanceStream : public runtime::Layer {
   void report_decision(std::int32_t cid, const Instance& inst) {
     if (!on_decide_) return;
     const std::int64_t head = inst.decision.empty() ? 0 : inst.decision.front();
-    on_decide_({cid, head, inst.decision_round, process().now(), process().id(),
-                inst.decision});
+    if (reporting_) {
+      // A callback that proposes can decide (and report) re-entrantly; the
+      // outer report still reads `event_`, so this one gets its own event.
+      on_decide_({cid, head, inst.decision_round, process().now(), process().id(),
+                  inst.decision});
+      return;
+    }
+    // The common, outermost report reuses one event: its values vector
+    // keeps its capacity across decisions.
+    event_.cid = cid;
+    event_.value = head;
+    event_.round = inst.decision_round;
+    event_.at = process().now();
+    event_.by = process().id();
+    event_.values = inst.decision;
+    reporting_ = true;
+    struct Unmark {
+      bool* flag;
+      ~Unmark() { *flag = false; }
+    } unmark{&reporting_};
+    on_decide_(event_);
   }
   void finish_decide(std::int32_t cid, Instance& inst);
   void handle_replay_query(const Message& m);
@@ -296,9 +366,15 @@ class InstanceStream : public runtime::Layer {
 
   const MembershipView* view_ = nullptr;
   std::map<std::int32_t, Instance> instances_;
+  /// Nodes recycled by on_reset (distinct placeholder keys), taken by
+  /// instance() before it allocates. Moving a node between maps allocates
+  /// nothing.
+  std::map<std::int32_t, Instance> spare_;
   detail::InstanceGc gc_;
   std::size_t peak_active_ = 0;
   std::function<void(const DecisionEvent&)> on_decide_;
+  DecisionEvent event_;     ///< reused by the outermost report_decision
+  bool reporting_ = false;  ///< a report_decision is on the stack
   bool relay_decide_ = false;
   bool rotate_coordinators_ = false;
   SANPERF_AUDIT_ONLY(detail::LayerAudit audit_;)
@@ -344,21 +420,7 @@ void InstanceStream<Derived, Round>::bcast(std::uint32_t epoch, Message m) {
 }
 
 template <typename Derived, typename Round>
-void InstanceStream<Derived, Round>::durable_apply(std::function<void()> fn) {
-  if (!log_.enabled()) {
-    fn();
-    return;
-  }
-  const double delay = log_.charge_ms(process().now().to_ms());
-  if (!(delay > 0)) {
-    fn();
-    return;
-  }
-  process().set_timer(des::Duration::from_ms(delay), std::move(fn));
-}
-
-template <typename Derived, typename Round>
-void InstanceStream<Derived, Round>::propose(std::int32_t cid, std::vector<std::int64_t> values) {
+void InstanceStream<Derived, Round>::propose(std::int32_t cid, detail::Payload values) {
   gc_.sweep(instances_);
   if (log_.enabled()) log_.compact(gc_.floor());  // log tracks the GC watermark
   if (gc_.collected(cid)) return;  // decided before we proposed, state gone
@@ -373,7 +435,7 @@ void InstanceStream<Derived, Round>::propose(std::int32_t cid, std::vector<std::
     return;
   }
   if (inst.decide_pending) return;  // finish_decide reports once the record lands
-  inst.estimate = std::move(values);
+  inst.estimate.assign(values.begin(), values.end());
   if (!log_.enabled()) {
     derived().advance_round(cid, inst);
     return;
@@ -381,20 +443,21 @@ void InstanceStream<Derived, Round>::propose(std::int32_t cid, std::vector<std::
   // Write-ahead: the proposal record must be durable before any message for
   // the instance leaves this host, so round entry waits for the append.
   record_state(cid, inst);
-  durable_apply([this, cid] {
+  const auto enter_round = [this, cid] {
     const auto it = instances_.find(cid);
     if (it == instances_.end() || gc_.collected(cid)) return;
     Instance& i = it->second;
     if (i.round == 0 && !i.decided && !i.decide_pending) derived().advance_round(cid, i);
-  });
+  };
+  static_assert(runtime::Process::timer_fits_inline_v<decltype(enter_round)>);
+  durable_apply(enter_round);
 }
 
 template <typename Derived, typename Round>
 void InstanceStream<Derived, Round>::decide(std::int32_t cid, Instance& inst,
-                                            const std::vector<std::int64_t>& value,
-                                            std::int32_t round) {
+                                            detail::Payload value, std::int32_t round) {
   if (inst.decided || inst.decide_pending) return;
-  inst.decision = value;
+  inst.decision.assign(value.begin(), value.end());
   inst.decision_round = round;
   inst.phase = Round::Phase::kDone;
   if (!log_.enabled()) {
@@ -409,13 +472,15 @@ void InstanceStream<Derived, Round>::decide(std::int32_t cid, Instance& inst,
   record_state(cid, inst);
   DurableLog::InstanceState& rec = log_.state(cid);
   rec.decided = true;
-  rec.decision = value;
+  rec.decision = inst.decision;
   rec.decision_round = round;
-  durable_apply([this, cid] {
+  const auto finish = [this, cid] {
     const auto it = instances_.find(cid);
     if (it == instances_.end() || !it->second.decide_pending) return;
     finish_decide(cid, it->second);
-  });
+  };
+  static_assert(runtime::Process::timer_fits_inline_v<decltype(finish)>);
+  durable_apply(finish);
 }
 
 template <typename Derived, typename Round>
@@ -459,7 +524,8 @@ void InstanceStream<Derived, Round>::on_message(const Message& m) {
     // Agreement: every DECIDE for an instance must carry the value this
     // host already decided.
     SANPERF_AUDIT_CHECK("consensus.decision_agreement",
-                        inst.decision.empty() || detail::payload_of(m) == inst.decision,
+                        inst.decision.empty() ||
+                            std::ranges::equal(detail::payload_of(m), inst.decision),
                         "conflicting DECIDE for instance " + std::to_string(m.cid) +
                             " from host " + std::to_string(m.from));
   }
@@ -518,6 +584,19 @@ void InstanceStream<Derived, Round>::on_crash() {
     audit_.precrash.emplace(cid, snap);
   }
 #endif
+}
+
+template <typename Derived, typename Round>
+void InstanceStream<Derived, Round>::on_reset() {
+  while (!instances_.empty()) {
+    auto node = instances_.extract(instances_.begin());
+    node.key() = spare_.empty() ? 0 : std::prev(spare_.end())->first + 1;
+    spare_.insert(spare_.end(), std::move(node));
+  }
+  gc_.reset();
+  log_.reset();
+  peak_active_ = 0;
+  SANPERF_AUDIT_ONLY(audit_.decided.clear(); audit_.precrash.clear();)
 }
 
 template <typename Derived, typename Round>

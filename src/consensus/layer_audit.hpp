@@ -15,7 +15,7 @@
 
 #include <cstdint>
 #include <map>
-#include <vector>
+#include <span>
 
 namespace sanperf::consensus::detail {
 
@@ -39,7 +39,7 @@ struct LayerAudit {
 
   /// FNV-1a over the value vector: enough to detect a decision changing
   /// across a replay or between two decide paths.
-  static std::uint64_t hash_values(const std::vector<std::int64_t>& values) {
+  static std::uint64_t hash_values(std::span<const std::int64_t> values) {
     std::uint64_t h = 1469598103934665603ull;
     for (const std::int64_t v : values) {
       h ^= static_cast<std::uint64_t>(v);

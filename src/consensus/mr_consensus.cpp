@@ -26,9 +26,8 @@ void MrConsensus::advance_round(std::int32_t cid, Instance& inst) {
 
   // Phase 2: wait for the coordinator's value -- unless it already arrived
   // (we lag behind) or the coordinator is suspected right away.
-  const auto buffered = inst.coord_ests.find(r);
-  if (buffered != inst.coord_ests.end()) {
-    send_aux(cid, inst, /*bottom=*/false, buffered->second);
+  if (const std::vector<std::int64_t>* buffered = inst.coord_ests.find(r)) {
+    send_aux(cid, inst, /*bottom=*/false, *buffered);
     return;
   }
   if (fd_->is_suspected(coord)) {
@@ -39,7 +38,7 @@ void MrConsensus::advance_round(std::int32_t cid, Instance& inst) {
 }
 
 void MrConsensus::send_aux(std::int32_t cid, Instance& inst, bool bottom,
-                           const std::vector<std::int64_t>& value) {
+                           detail::Payload value) {
   const std::int32_t r = inst.round;
   Message aux = make_message(MsgKind::kAux, cid, r, value);
   aux.ts = bottom ? 1 : 0;  // ts doubles as the bottom flag
@@ -50,8 +49,9 @@ void MrConsensus::send_aux(std::int32_t cid, Instance& inst, bool bottom,
     DurableLog::InstanceState& rec = log_.state(cid);
     rec.aux_sent = true;
     rec.aux_bottom = bottom;
-    rec.aux_value = value;
-    inst.sent_aux.emplace(r, aux);
+    rec.aux_value.assign(value.begin(), value.end());
+    auto [sent, inserted] = inst.sent_aux.emplace(r);
+    if (inserted) sent = aux;
   }
   durable_apply([this, epoch = inst.epoch, aux = std::move(aux)]() mutable {
     bcast(epoch, std::move(aux));
@@ -81,7 +81,9 @@ void MrConsensus::maybe_conclude(std::int32_t cid, Instance& inst) {
 
 void MrConsensus::on_round_message(Instance& inst, const Message& m) {
   if (m.kind == MsgKind::kCoordEst) {
-    inst.coord_ests.emplace(m.round, detail::payload_of(m));
+    const detail::Payload estimate = detail::payload_of(m);
+    auto [buffered, inserted] = inst.coord_ests.emplace(m.round);
+    if (inserted) buffered.assign(estimate.begin(), estimate.end());
     if (inst.phase == Phase::kWaitCoord && m.round == inst.round) {
       send_aux(m.cid, inst, /*bottom=*/false, detail::payload_of(m));
     }
@@ -120,18 +122,17 @@ void MrConsensus::answer_replay_query(Instance& inst, const Message& m) {
   // If we coordinated the querier's round, re-send the estimate broadcast it
   // missed while down (a querier parked in kWaitCoord can only resume on a
   // COORDEST or a suspicion). coord_ests buffering dedups on its side.
-  const auto sent = inst.sent_aux.find(m.round);
-  if (sent == inst.sent_aux.end()) return;
-  if (coordinator_of(m.cid, inst, m.round) == process().id() && sent->second.ts == 0) {
-    ucast(inst,
-          make_message(MsgKind::kCoordEst, m.cid, m.round, detail::payload_of(sent->second)),
+  const Message* sent = inst.sent_aux.find(m.round);
+  if (sent == nullptr) return;
+  if (coordinator_of(m.cid, inst, m.round) == process().id() && sent->ts == 0) {
+    ucast(inst, make_message(MsgKind::kCoordEst, m.cid, m.round, detail::payload_of(*sent)),
           m.from);
     ++stats_.coord_broadcasts;
   }
   // Re-send our recorded AUX for the querier's round -- valid even after we
   // moved past it. The querier's tally restarted from just its own vote, so
   // each peer is counted exactly once.
-  ucast(inst, sent->second, m.from);
+  ucast(inst, *sent, m.from);
   ++stats_.aux_broadcasts;
 }
 

@@ -23,10 +23,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "consensus/instance_stream.hpp"
+#include "consensus/payload.hpp"
+#include "consensus/round_map.hpp"
 
 namespace sanperf::consensus {
 
@@ -47,22 +48,29 @@ struct MrRound {
     std::int32_t bottom_count = 0;  ///< AUX carrying bottom
     std::vector<std::int64_t> value;  ///< the (unique) non-bottom value seen
 
-    void add(bool bottom, const std::vector<std::int64_t>& v) {
+    void add(bool bottom, Payload v) {
       if (bottom) {
         ++bottom_count;
       } else {
         ++value_count;
-        value = v;
+        value.assign(v.begin(), v.end());
       }
     }
   };
 
   Phase phase = Phase::kIdle;
-  std::map<std::int32_t, std::vector<std::int64_t>> coord_ests;  ///< buffered per round
-  std::map<std::int32_t, AuxSet> aux;                            ///< per round
+  RoundMap<std::vector<std::int64_t>> coord_ests;  ///< buffered per round
+  RoundMap<AuxSet> aux;                            ///< per round
   /// Our own AUX per round, kept (durable mode only) so a REPLAYQ from a
   /// restarted peer can be answered even after we moved past its round.
-  std::map<std::int32_t, runtime::Message> sent_aux;
+  RoundMap<runtime::Message> sent_aux;
+
+  void clear() {
+    phase = Phase::kIdle;
+    coord_ests.clear();
+    aux.clear();
+    sent_aux.clear();
+  }
 };
 
 }  // namespace detail
@@ -78,6 +86,11 @@ class MrConsensus : public InstanceStream<MrConsensus, detail::MrRound> {
     std::uint64_t bottom_aux = 0;  ///< AUX messages carrying bottom
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
+
+  void on_reset() override {
+    InstanceStream::on_reset();
+    stats_ = {};
+  }
 
  private:
   friend InstanceStream;
@@ -98,8 +111,7 @@ class MrConsensus : public InstanceStream<MrConsensus, detail::MrRound> {
   void resume_round(std::int32_t cid, Instance& inst, const DurableLog::InstanceState& rec);
   void answer_replay_query(Instance& inst, const Message& m);
 
-  void send_aux(std::int32_t cid, Instance& inst, bool bottom,
-                const std::vector<std::int64_t>& value);
+  void send_aux(std::int32_t cid, Instance& inst, bool bottom, detail::Payload value);
   void maybe_conclude(std::int32_t cid, Instance& inst);
 
   Stats stats_;

@@ -9,20 +9,36 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "runtime/message.hpp"
 
 namespace sanperf::consensus::detail {
 
-inline void set_payload(runtime::Message& m, const std::vector<std::int64_t>& values) {
-  m.values = values;
+/// A read-only view of a payload's values.
+using Payload = std::span<const std::int64_t>;
+
+/// Stores `values` in `m`. A single value rides in Message::value alone and
+/// leaves Message::values empty, so unbatched protocol traffic carries no
+/// heap-allocated payload; payload_of reads it back either way.
+inline void set_payload(runtime::Message& m, Payload values) {
   m.value = values.empty() ? 0 : values.front();
+  if (values.size() > 1) {
+    m.values.assign(values.begin(), values.end());
+  } else {
+    m.values.clear();
+  }
+}
+inline void set_payload(runtime::Message& m, const std::vector<std::int64_t>& values) {
+  set_payload(m, Payload{values});
 }
 
-[[nodiscard]] inline std::vector<std::int64_t> payload_of(const runtime::Message& m) {
+/// The payload of `m`, valid while `m` lives: Message::values when
+/// non-empty, otherwise the scalar Message::value as a one-value payload.
+[[nodiscard]] inline Payload payload_of(const runtime::Message& m) {
   if (!m.values.empty()) return m.values;
-  return {m.value};  // hand-built scalar message (tests, probes)
+  return {&m.value, 1};  // single value (and hand-built scalar messages)
 }
 
 }  // namespace sanperf::consensus::detail

@@ -54,9 +54,11 @@ TsendSweep sweep_tsend(const stats::Ecdf& measured_latency_n5,
     studies.push_back(bank.add(cfg));
     space.add_group(replications, seed, "rep");
   }
-  const auto rewards = runner.run_flat(space, [&](const ShardSpace::Task& t) {
-    return studies[t.group]->run_one(des::RandomEngine{t.seed});
-  });
+  const auto rewards =
+      runner.run_flat(space, [&](const ShardSpace::Task& t, WorkerScratch& scratch) {
+        const san::TransientStudy& study = *studies[t.group];
+        return study.run_one(des::RandomEngine{t.seed}, scratch.san_simulator(study));
+      });
   return fold_tsend_sweep(candidates_ms, rewards, measured_latency_n5);
 }
 

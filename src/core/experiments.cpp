@@ -93,10 +93,11 @@ std::vector<Fig7aRow> run_fig7a(const PaperContext& ctx, const std::vector<std::
   for (const std::size_t n : ns) {
     space.add_group(ctx.scale.class1_executions, ctx.seed + 100 + n, "exec");
   }
-  const auto outcomes = ctx.runner->run_flat(space, [&](const ShardSpace::Task& t) {
-    return run_latency_execution(ns[t.group], ctx.network, ctx.timers,
-                                 /*initially_crashed=*/-1, t.index, t.seed);
-  });
+  const auto outcomes =
+      ctx.runner->run_flat(space, [&](const ShardSpace::Task& t, WorkerScratch& scratch) {
+        return run_latency_execution(ns[t.group], ctx.network, ctx.timers,
+                                     /*initially_crashed=*/-1, t.index, t.seed, &scratch);
+      });
 
   std::vector<Fig7aRow> rows;
   for (std::size_t g = 0; g < ns.size(); ++g) {
@@ -143,15 +144,18 @@ Fig7bResult run_fig7b(const PaperContext& ctx, const std::vector<double>& candid
     space.add_group(ctx.scale.sim_replications, ctx.seed + 7, "rep");
   }
 
-  const auto cells = ctx.runner->run_flat(space, [&](const ShardSpace::Task& t) {
-    Cell cell;
-    if (t.group == 0) {
-      cell.exec = run_latency_execution(5, ctx.network, ctx.timers, -1, t.index, t.seed);
-    } else {
-      cell.reward = studies[t.group - 1]->run_one(des::RandomEngine{t.seed});
-    }
-    return cell;
-  });
+  const auto cells =
+      ctx.runner->run_flat(space, [&](const ShardSpace::Task& t, WorkerScratch& scratch) {
+        Cell cell;
+        if (t.group == 0) {
+          cell.exec =
+              run_latency_execution(5, ctx.network, ctx.timers, -1, t.index, t.seed, &scratch);
+        } else {
+          const san::TransientStudy& study = *studies[t.group - 1];
+          cell.reward = study.run_one(des::RandomEngine{t.seed}, scratch.san_simulator(study));
+        }
+        return cell;
+      });
 
   Fig7bResult out;
   {
@@ -223,18 +227,20 @@ std::vector<Table1Cell> run_table1_cells(const PaperContext& ctx,
     }
   }
 
-  const auto raw = ctx.runner->run_flat(space, [&](const ShardSpace::Task& t) {
-    const GroupDesc& gd = descs[t.group];
-    Cell cell;
-    if (gd.study != nullptr) {
-      cell.reward = gd.study->run_one(des::RandomEngine{t.seed});
-    } else {
-      const Table1Cell& out_cell = cells_out[gd.cell];
-      cell.exec = run_latency_execution(out_cell.n, ctx.network, ctx.timers, out_cell.crashed,
-                                        t.index, t.seed);
-    }
-    return cell;
-  });
+  const auto raw =
+      ctx.runner->run_flat(space, [&](const ShardSpace::Task& t, WorkerScratch& scratch) {
+        const GroupDesc& gd = descs[t.group];
+        Cell cell;
+        if (gd.study != nullptr) {
+          cell.reward =
+              gd.study->run_one(des::RandomEngine{t.seed}, scratch.san_simulator(*gd.study));
+        } else {
+          const Table1Cell& out_cell = cells_out[gd.cell];
+          cell.exec = run_latency_execution(out_cell.n, ctx.network, ctx.timers,
+                                            out_cell.crashed, t.index, t.seed, &scratch);
+        }
+        return cell;
+      });
 
   // Fold per group in index order: bit-identical to the sequential sweep.
   for (std::size_t g = 0; g < descs.size(); ++g) {
@@ -364,9 +370,11 @@ std::vector<Fig9bPoint> run_fig9b(const PaperContext& ctx,
     }
   }
 
-  const auto rewards = ctx.runner->run_flat(space, [&](const ShardSpace::Task& t) {
-    return studies[t.group]->run_one(des::RandomEngine{t.seed});
-  });
+  const auto rewards =
+      ctx.runner->run_flat(space, [&](const ShardSpace::Task& t, WorkerScratch& scratch) {
+        const san::TransientStudy& study = *studies[t.group];
+        return study.run_one(des::RandomEngine{t.seed}, scratch.san_simulator(study));
+      });
 
   for (std::size_t g = 0; g < refs.size(); ++g) {
     const double mean = fold_study_rewards(rewards[g]).summary.mean();

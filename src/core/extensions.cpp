@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "core/workload.hpp"
+#include "core/one_shot.hpp"
 #include "fd/heartbeat_fd.hpp"
 #include "runtime/cluster.hpp"
 
@@ -11,14 +11,15 @@ namespace sanperf::core {
 ExecOutcome run_latency_execution_with(Algorithm algorithm, std::size_t n,
                                        const net::NetworkParams& params,
                                        const net::TimerModel& timers, int initially_crashed,
-                                       std::size_t k, std::uint64_t exec_seed) {
-  WorkloadConfig cfg;
-  cfg.n = n;
-  cfg.network = params;
-  cfg.timers = timers;
-  cfg.algorithm = algorithm;
-  cfg.initially_crashed = initially_crashed;
-  return run_one_shot(cfg, k, exec_seed);
+                                       std::size_t k, std::uint64_t exec_seed,
+                                       WorkerScratch* scratch) {
+  OneShotShape shape;
+  shape.algorithm = algorithm;
+  shape.n = n;
+  shape.network = params;
+  shape.timers = timers;
+  return detail::run_one_consensus_execution(shape, initially_crashed, k, exec_seed, nullptr,
+                                             scratch);
 }
 
 MeasuredLatency measure_latency_with(Algorithm algorithm, std::size_t n,
@@ -30,9 +31,9 @@ MeasuredLatency measure_latency_with(Algorithm algorithm, std::size_t n,
     throw std::invalid_argument{"measure_latency_with: crashed id out of range"};
   }
   const des::SeedSplitter seeds{seed, "exec"};
-  return fold_latency_outcomes(runner.map(executions, [&](std::size_t k) {
+  return fold_latency_outcomes(runner.map(executions, [&](std::size_t k, WorkerScratch& scratch) {
     return run_latency_execution_with(algorithm, n, params, timers, initially_crashed, k,
-                                      seeds.stream_seed(k));
+                                      seeds.stream_seed(k), &scratch);
   }));
 }
 

@@ -20,12 +20,14 @@ namespace sanperf::core {
 
 /// One isolated execution of the selected algorithm with an explicitly
 /// derived seed (the flat sharding unit of the comparative campaigns;
-/// seeds come from SeedSplitter{seed, "exec"}).
+/// seeds come from SeedSplitter{seed, "exec"}). `scratch` as for
+/// run_latency_execution.
 [[nodiscard]] ExecOutcome run_latency_execution_with(Algorithm algorithm, std::size_t n,
                                                      const net::NetworkParams& params,
                                                      const net::TimerModel& timers,
                                                      int initially_crashed, std::size_t k,
-                                                     std::uint64_t exec_seed);
+                                                     std::uint64_t exec_seed,
+                                                     WorkerScratch* scratch = nullptr);
 
 /// Like measure_latency, but with a selectable consensus algorithm.
 [[nodiscard]] MeasuredLatency measure_latency_with(Algorithm algorithm, std::size_t n,

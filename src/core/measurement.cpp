@@ -7,7 +7,7 @@
 #include "consensus/ct_consensus.hpp"
 #include "consensus/sequencer.hpp"
 #include "core/config.hpp"
-#include "core/workload.hpp"
+#include "core/one_shot.hpp"
 #include "des/simulator.hpp"
 #include "fd/failure_detector.hpp"
 #include "fd/heartbeat_fd.hpp"
@@ -126,14 +126,14 @@ stats::SummaryStats MeasuredLatency::summary() const {
 
 ExecOutcome run_latency_execution(std::size_t n, const net::NetworkParams& params,
                                   const net::TimerModel& timers, int initially_crashed,
-                                  std::size_t k, std::uint64_t exec_seed) {
-  // The workload engine's one-shot mode IS the historic harness.
-  WorkloadConfig cfg;
-  cfg.n = n;
-  cfg.network = params;
-  cfg.timers = timers;
-  cfg.initially_crashed = initially_crashed;
-  return run_one_shot(cfg, k, exec_seed);
+                                  std::size_t k, std::uint64_t exec_seed,
+                                  WorkerScratch* scratch) {
+  OneShotShape shape;
+  shape.n = n;
+  shape.network = params;
+  shape.timers = timers;
+  return detail::run_one_consensus_execution(shape, initially_crashed, k, exec_seed, nullptr,
+                                             scratch);
 }
 
 MeasuredLatency fold_latency_outcomes(const std::vector<ExecOutcome>& outcomes) {
@@ -159,8 +159,9 @@ MeasuredLatency measure_latency(std::size_t n, const net::NetworkParams& params,
     throw std::invalid_argument{"measure_latency: crashed id out of range"};
   }
   const des::SeedSplitter seeds{seed, "exec"};
-  return fold_latency_outcomes(runner.map(executions, [&](std::size_t k) {
-    return run_latency_execution(n, params, timers, initially_crashed, k, seeds.stream_seed(k));
+  return fold_latency_outcomes(runner.map(executions, [&](std::size_t k, WorkerScratch& scratch) {
+    return run_latency_execution(n, params, timers, initially_crashed, k, seeds.stream_seed(k),
+                                 &scratch);
   }));
 }
 

@@ -84,10 +84,13 @@ struct MeasuredLatency {
 
 /// One isolated Chandra-Toueg execution with an explicitly derived seed
 /// (task `k` of a campaign; seeds come from SeedSplitter{seed, "exec"}).
+/// With `scratch` it runs on the worker's one-shot rig (core/one_shot.hpp);
+/// the result is the same either way.
 [[nodiscard]] ExecOutcome run_latency_execution(std::size_t n, const net::NetworkParams& params,
                                                 const net::TimerModel& timers,
                                                 int initially_crashed, std::size_t k,
-                                                std::uint64_t exec_seed);
+                                                std::uint64_t exec_seed,
+                                                WorkerScratch* scratch = nullptr);
 
 /// Folds per-execution outcomes in execution order -- the exact merge the
 /// sequential campaign loop performs.

@@ -25,7 +25,7 @@ ReplicationRunner::ReplicationRunner(std::size_t threads)
   // The calling thread participates in every batch, so spawn one fewer.
   workers_.reserve(threads_ - 1);
   for (std::size_t i = 0; i + 1 < threads_; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, worker = i + 1] { worker_loop(worker); });
   }
 }
 
@@ -38,7 +38,7 @@ ReplicationRunner::~ReplicationRunner() {
   for (auto& w : workers_) w.join();
 }
 
-void ReplicationRunner::worker_loop() {
+void ReplicationRunner::worker_loop(std::size_t worker) {
   std::uint64_t seen = 0;
   for (;;) {
     std::shared_ptr<Batch> batch;
@@ -49,17 +49,17 @@ void ReplicationRunner::worker_loop() {
       seen = generation_;
       batch = batch_;
     }
-    if (batch) drain(*batch);
+    if (batch) drain(*batch, worker);
   }
 }
 
-void ReplicationRunner::drain(Batch& batch) const {
+void ReplicationRunner::drain(Batch& batch, std::size_t worker) const {
   tl_in_batch = true;
   for (;;) {
     const std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
     if (i >= batch.count) break;
     try {
-      (*batch.fn)(i);
+      (*batch.fn)(i, worker);
     } catch (...) {
       std::lock_guard lk{mutex_};
       if (!batch.error) batch.error = std::current_exception();
@@ -74,9 +74,14 @@ void ReplicationRunner::drain(Batch& batch) const {
 
 void ReplicationRunner::for_each(std::size_t count,
                                  const std::function<void(std::size_t)>& fn) const {
+  for_each_worker(count, [&fn](std::size_t i, std::size_t) { fn(i); });
+}
+
+void ReplicationRunner::for_each_worker(
+    std::size_t count, const std::function<void(std::size_t, std::size_t)>& fn) const {
   if (count == 0) return;
   if (workers_.empty() || count == 1 || tl_in_batch) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
+    for (std::size_t i = 0; i < count; ++i) fn(i, 0);
     return;
   }
   auto batch = std::make_shared<Batch>(fn, count);
@@ -86,7 +91,7 @@ void ReplicationRunner::for_each(std::size_t count,
     ++generation_;
   }
   wake_.notify_all();
-  drain(*batch);
+  drain(*batch, 0);
   {
     std::unique_lock lk{mutex_};
     done_.wait(lk, [&] { return batch->finished.load(std::memory_order_acquire) == count; });
@@ -124,8 +129,9 @@ san::StudyResult fold_study_rewards(const std::vector<std::optional<double>>& re
 san::StudyResult run_study(const ReplicationRunner& runner, const san::TransientStudy& study,
                            std::size_t replications, std::uint64_t seed, double confidence) {
   const des::SeedSplitter seeds{seed};
-  const auto rewards = runner.map(
-      replications, [&](std::size_t r) { return study.run_one(seeds.stream(r)); });
+  const auto rewards = runner.map(replications, [&](std::size_t r, WorkerScratch& scratch) {
+    return study.run_one(seeds.stream(r), scratch.san_simulator(study));
+  });
   // Deterministic fold in replication order: the exact sequence of add()
   // calls the sequential loop would make.
   return fold_study_rewards(rewards, confidence);

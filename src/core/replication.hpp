@@ -7,6 +7,12 @@
 // so merged statistics are bit-identical regardless of thread count or
 // scheduling order. One thread (or SANPERF_THREADS=1) degenerates to the
 // plain sequential loop.
+//
+// map and run_flat hand each worker one WorkerScratch for the whole batch
+// when the task function takes it as a second argument, so tasks reuse a
+// one-shot rig or a SAN simulator instead of building one each. The worker
+// index picks the scratch slot only and never reaches a seed: a task's
+// result is the same whichever worker runs it.
 #pragma once
 
 #include <atomic>
@@ -24,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/worker_scratch.hpp"
 #include "des/random.hpp"
 #include "san/study.hpp"
 
@@ -101,18 +108,30 @@ class ReplicationRunner {
   /// current thread, so replication bodies may themselves use the runner.
   void for_each(std::size_t count, const std::function<void(std::size_t)>& fn) const;
 
+  /// for_each that also passes fn the index of the worker running the call:
+  /// 0 for the calling thread, 1 .. threads() - 1 for the pool (always 0
+  /// when the batch runs inline). A worker runs one call at a time, so
+  /// storage indexed by it needs no lock. Which worker runs an index
+  /// depends on scheduling: the worker index must not affect results.
+  void for_each_worker(std::size_t count,
+                       const std::function<void(std::size_t, std::size_t)>& fn) const;
+
   /// for_each with results collected in index order. fn's result type must
-  /// be default-constructible.
+  /// be default-constructible. fn is called as fn(i), or as fn(i, scratch)
+  /// with the running worker's WorkerScratch when it accepts that.
   template <typename Fn>
   [[nodiscard]] auto map(std::size_t count, Fn&& fn) const {
-    using R = std::invoke_result_t<Fn&, std::size_t>;
+    using R = task_result_t<Fn, std::size_t>;
     static_assert(std::is_default_constructible_v<R>,
                   "ReplicationRunner::map requires a default-constructible result");
     static_assert(!std::is_same_v<R, bool>,
                   "ReplicationRunner::map cannot return bool: std::vector<bool> packs bits, "
                   "so concurrent out[i] writes race; return char/int instead");
     std::vector<R> out(count);
-    for_each(count, [&](std::size_t i) { out[i] = fn(i); });
+    std::vector<WorkerScratch> scratch(threads_);
+    for_each_worker(count, [&](std::size_t i, std::size_t w) {
+      out[i] = invoke_task(fn, i, scratch[w]);
+    });
     return out;
   }
 
@@ -121,33 +140,52 @@ class ReplicationRunner {
   /// with many small groups saturates the pool just as well as one large
   /// group. Results come back grouped, in index order within each group:
   /// folding them sequentially reproduces the sequential campaign bit for
-  /// bit at any thread count.
+  /// bit at any thread count. fn is called as fn(task) or, when it accepts
+  /// one, fn(task, scratch) with the running worker's WorkerScratch.
   template <typename Fn>
   [[nodiscard]] auto run_flat(const ShardSpace& space, Fn&& fn) const {
-    using R = std::invoke_result_t<Fn&, const ShardSpace::Task&>;
+    using R = task_result_t<Fn, const ShardSpace::Task&>;
     static_assert(std::is_default_constructible_v<R>,
                   "ReplicationRunner::run_flat requires a default-constructible result");
     std::vector<std::vector<R>> out(space.group_count());
     for (std::size_t g = 0; g < space.group_count(); ++g) out[g].resize(space.group_size(g));
-    for_each(space.size(), [&](std::size_t i) {
+    std::vector<WorkerScratch> scratch(threads_);
+    for_each_worker(space.size(), [&](std::size_t i, std::size_t w) {
       const ShardSpace::Task t = space.task(i);
-      out[t.group][t.index] = fn(t);
+      out[t.group][t.index] = invoke_task(fn, t, scratch[w]);
     });
     return out;
   }
 
  private:
+  /// What fn returns for `Arg`, called with or without a WorkerScratch.
+  template <typename Fn, typename Arg>
+  using task_result_t =
+      typename std::conditional_t<std::is_invocable_v<Fn&, Arg, WorkerScratch&>,
+                                  std::invoke_result<Fn&, Arg, WorkerScratch&>,
+                                  std::invoke_result<Fn&, Arg>>::type;
+
+  template <typename Fn, typename Arg>
+  static decltype(auto) invoke_task(Fn& fn, const Arg& arg, WorkerScratch& scratch) {
+    if constexpr (std::is_invocable_v<Fn&, const Arg&, WorkerScratch&>) {
+      return fn(arg, scratch);
+    } else {
+      return fn(arg);
+    }
+  }
+
   struct Batch {
-    Batch(const std::function<void(std::size_t)>& f, std::size_t c) : fn{&f}, count{c} {}
-    const std::function<void(std::size_t)>* fn;
+    Batch(const std::function<void(std::size_t, std::size_t)>& f, std::size_t c)
+        : fn{&f}, count{c} {}
+    const std::function<void(std::size_t, std::size_t)>* fn;
     std::size_t count;
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> finished{0};
     std::exception_ptr error;  ///< first failure; guarded by the runner mutex
   };
 
-  void worker_loop();
-  void drain(Batch& batch) const;
+  void worker_loop(std::size_t worker);
+  void drain(Batch& batch, std::size_t worker) const;
 
   std::size_t threads_;
   std::vector<std::thread> workers_;

@@ -335,9 +335,11 @@ ScenarioSpec ablation_broadcast_spec() {
         space.add_group(kReps, run.ctx.seed + (unicast_frame ? 12 : 11) + n, "rep");
       }
     }
-    const auto rewards = run.ctx.runner->run_flat(space, [&](const ShardSpace::Task& t) {
-      return studies[t.group]->run_one(des::RandomEngine{t.seed});
-    });
+    const auto rewards =
+        run.ctx.runner->run_flat(space, [&](const ShardSpace::Task& t, WorkerScratch& scratch) {
+          const san::TransientStudy& study = *studies[t.group];
+          return study.run_one(des::RandomEngine{t.seed}, scratch.san_simulator(study));
+        });
 
     ResultTable table{"ablation_broadcast", columns};
     for (std::size_t p = 0; p < run.grid.size(); ++p) {
@@ -417,9 +419,11 @@ ScenarioSpec ablation_fd_spec() {
       }
       studies.push_back(bank.add(cfg));
     }
-    const auto rewards = ctx.runner->run_flat(sim_space, [&](const ShardSpace::Task& t) {
-      return studies[t.group]->run_one(des::RandomEngine{t.seed});
-    });
+    const auto rewards =
+        ctx.runner->run_flat(sim_space, [&](const ShardSpace::Task& t, WorkerScratch& scratch) {
+          const san::TransientStudy& study = *studies[t.group];
+          return study.run_one(des::RandomEngine{t.seed}, scratch.san_simulator(study));
+        });
 
     ResultTable table{"ablation_fd_correlation", columns};
     for (std::size_t p = 0; p < points.size(); ++p) {
@@ -470,13 +474,14 @@ ScenarioSpec ext_algorithms_spec() {
         groups.emplace_back(alg, p);
       }
     }
-    const auto outcomes = ctx.runner->run_flat(space, [&](const ShardSpace::Task& t) {
-      const auto [alg, p] = groups[t.group];
-      const auto point = run.grid.point(p);
-      return run_latency_execution_with(alg, point.get_size("n"), ctx.network, timers,
-                                        crashed_id(point.get_string("scenario")), t.index,
-                                        t.seed);
-    });
+    const auto outcomes =
+        ctx.runner->run_flat(space, [&](const ShardSpace::Task& t, WorkerScratch& scratch) {
+          const auto [alg, p] = groups[t.group];
+          const auto point = run.grid.point(p);
+          return run_latency_execution_with(alg, point.get_size("n"), ctx.network, timers,
+                                            crashed_id(point.get_string("scenario")), t.index,
+                                            t.seed, &scratch);
+        });
 
     ResultTable table{"ext_algorithms", columns};
     for (std::size_t p = 0; p < run.grid.size(); ++p) {
@@ -528,11 +533,12 @@ ScenarioSpec ext_throughput_spec() {
       // declaring the same value here keeps the space self-describing.
       space.add_group(1, ctx.seed + n, "b2b");
     }
-    const auto cells = ctx.runner->run_flat(space, [&](const ShardSpace::Task& t) {
+    const auto cells = ctx.runner->run_flat(space, [&](const ShardSpace::Task& t,
+                                                       WorkerScratch& scratch) {
       const std::size_t n = ns[t.group / 2];
       Cell cell;
       if (t.group % 2 == 0) {
-        cell.exec = run_latency_execution(n, ctx.network, timers, -1, t.index, t.seed);
+        cell.exec = run_latency_execution(n, ctx.network, timers, -1, t.index, t.seed, &scratch);
       } else {
         // The back-to-back extension as its true shape: the degenerate
         // closed-loop workload (one client, zero think time, no warm-up --
@@ -789,12 +795,13 @@ ScenarioSpec lossy_consensus_spec() {
                               (point.get_string("algorithm") == "mr" ? 1 : 0)),
                       "exec");
     }
-    const auto outcomes = ctx.runner->run_flat(space, [&](const ShardSpace::Task& t) {
-      const auto point = run.grid.point(t.group);
-      return faults::run_fault_execution(algorithm_of(point.get_string("algorithm")),
-                                         point.get_size("n"), ctx.network, timers,
-                                         plans[t.group], t.index, t.seed);
-    });
+    const auto outcomes =
+        ctx.runner->run_flat(space, [&](const ShardSpace::Task& t, WorkerScratch& scratch) {
+          const auto point = run.grid.point(t.group);
+          return faults::run_fault_execution(algorithm_of(point.get_string("algorithm")),
+                                             point.get_size("n"), ctx.network, timers,
+                                             plans[t.group], t.index, t.seed, &scratch);
+        });
 
     ResultTable table{"lossy_consensus", columns};
     for (std::size_t p = 0; p < run.grid.size(); ++p) {
@@ -872,11 +879,12 @@ ScenarioSpec slowdown_sweep_spec() {
                               (pipeline ? 1 : 0)),
                       "exec");
     }
-    const auto outcomes = ctx.runner->run_flat(space, [&](const ShardSpace::Task& t) {
-      return faults::run_fault_execution(Algorithm::kChandraToueg,
-                                         run.grid.point(t.group).get_size("n"), network,
-                                         timers, plans[t.group], t.index, t.seed);
-    });
+    const auto outcomes =
+        ctx.runner->run_flat(space, [&](const ShardSpace::Task& t, WorkerScratch& scratch) {
+          return faults::run_fault_execution(Algorithm::kChandraToueg,
+                                             run.grid.point(t.group).get_size("n"), network,
+                                             timers, plans[t.group], t.index, t.seed, &scratch);
+        });
 
     ResultTable table{"slowdown_sweep", columns};
     std::vector<MeasuredLatency> folded;

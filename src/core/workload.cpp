@@ -13,7 +13,7 @@
 #include "consensus/ct_consensus.hpp"
 #include "consensus/mr_consensus.hpp"
 #include "consensus/sequencer.hpp"  // draw_ntp_start_offset
-#include "core/exec_harness.hpp"
+#include "core/one_shot.hpp"
 #include "faults/injector.hpp"
 #include "faults/lowering.hpp"
 #include "fd/failure_detector.hpp"
@@ -655,18 +655,16 @@ WorkloadResult run_workload(const WorkloadConfig& cfg, const WorkloadSpec& spec)
   throw std::invalid_argument{"run_workload: unknown algorithm"};
 }
 
-ExecOutcome run_one_shot(const WorkloadConfig& cfg, std::size_t k, std::uint64_t exec_seed) {
-  switch (cfg.algorithm) {
-    case Algorithm::kChandraToueg:
-      return detail::run_one_consensus_execution<consensus::CtConsensus>(
-          cfg.n, cfg.network, cfg.timers, cfg.initially_crashed, k, exec_seed, cfg.fault_plan,
-          cfg.topology);
-    case Algorithm::kMostefaouiRaynal:
-      return detail::run_one_consensus_execution<consensus::MrConsensus>(
-          cfg.n, cfg.network, cfg.timers, cfg.initially_crashed, k, exec_seed, cfg.fault_plan,
-          cfg.topology);
-  }
-  throw std::invalid_argument{"run_one_shot: unknown algorithm"};
+ExecOutcome run_one_shot(const WorkloadConfig& cfg, std::size_t k, std::uint64_t exec_seed,
+                         WorkerScratch* scratch) {
+  OneShotShape shape;
+  shape.algorithm = cfg.algorithm;
+  shape.n = cfg.n;
+  shape.network = cfg.network;
+  shape.timers = cfg.timers;
+  shape.topology = cfg.topology;
+  return detail::run_one_consensus_execution(shape, cfg.initially_crashed, k, exec_seed,
+                                             cfg.fault_plan, scratch);
 }
 
 }  // namespace sanperf::core

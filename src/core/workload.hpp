@@ -12,10 +12,11 @@
 // Statistics use warm-up truncation and stats::BatchMeans confidence
 // intervals (consecutive instances share the cluster and correlate).
 //
-// run_one_shot is the same engine degenerated to a single instance on a
-// fresh cluster: byte-identical to the historic class-1/2 harness, so the
-// legacy signatures (core::run_latency_execution, run_latency_execution_with,
-// faults::run_fault_execution) are thin wrappers over it.
+// run_one_shot is the workload view of the one-shot harness
+// (core/one_shot.hpp): a single instance on a one-shot rig, byte-identical
+// to the historic class-1/2 harness and to core::run_latency_execution,
+// run_latency_execution_with and faults::run_fault_execution, which run on
+// the same rig path.
 #pragma once
 
 #include <cstdint>
@@ -245,12 +246,14 @@ struct WorkloadResult {
 /// Runs `spec` against one persistent cluster described by `cfg`.
 [[nodiscard]] WorkloadResult run_workload(const WorkloadConfig& cfg, const WorkloadSpec& spec);
 
-/// One-shot mode: a single instance `k` on a fresh cluster seeded
-/// `exec_seed`, byte-identical to the historic class-1/2 harness (and to
-/// the fault harness when cfg.fault_plan is set). The legacy wrappers all
-/// route here.
+/// One-shot mode: a single instance `k` seeded `exec_seed` on a one-shot
+/// rig of cfg's algorithm, n, network, timers and topology (the worker's,
+/// when `scratch` is given), byte-identical to the historic class-1/2
+/// harness (and to the fault harness when cfg.fault_plan is set). Every
+/// other WorkloadConfig field is ignored.
 [[nodiscard]] ExecOutcome run_one_shot(const WorkloadConfig& cfg, std::size_t k,
-                                       std::uint64_t exec_seed);
+                                       std::uint64_t exec_seed,
+                                       WorkerScratch* scratch = nullptr);
 
 /// The pure statistics fold behind WorkloadResult.stats: warm-up
 /// truncation, batch-means CIs, realised offered/delivered rates.

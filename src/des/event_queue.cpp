@@ -4,7 +4,47 @@
 #include <string>
 #include <utility>
 
+#if SANPERF_AUDIT_ENABLED
+#include <mutex>
+#endif
+
 namespace sanperf::des {
+
+#if SANPERF_AUDIT_ENABLED
+namespace {
+
+struct FallbackLedger {
+  std::mutex mutex;
+  std::map<std::string, std::uint64_t> by_type;
+};
+
+FallbackLedger& fallback_ledger() {
+  static FallbackLedger ledger;
+  return ledger;
+}
+
+}  // namespace
+
+namespace detail {
+void audit_note_heap_fallback(const char* type) {
+  FallbackLedger& ledger = fallback_ledger();
+  const std::lock_guard lock{ledger.mutex};
+  ++ledger.by_type[type];
+}
+}  // namespace detail
+
+std::map<std::string, std::uint64_t> audit_heap_fallbacks() {
+  FallbackLedger& ledger = fallback_ledger();
+  const std::lock_guard lock{ledger.mutex};
+  return ledger.by_type;
+}
+
+std::uint64_t audit_heap_fallback_total() {
+  std::uint64_t total = 0;
+  for (const auto& [type, count] : audit_heap_fallbacks()) total += count;
+  return total;
+}
+#endif
 
 std::uint32_t EventQueue::acquire_slot() {
   if (free_head_ != kNpos) {

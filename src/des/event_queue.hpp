@@ -12,7 +12,9 @@
 //     slot tracks its heap position, so cancel() is a true O(log n)
 //     removal (no lazy-deletion churn of dead entries);
 //   * callables are stored in-place inside the slot (EventAction's small
-//     buffer); only oversized captures fall back to the heap.
+//     buffer); only oversized captures fall back to the heap. Audit builds
+//     count those fallbacks per closure type (audit_heap_fallbacks), so a
+//     capture that silently outgrows the buffer shows up in a test.
 #pragma once
 
 #include <cstddef>
@@ -26,7 +28,25 @@
 #include "core/audit.hpp"
 #include "des/time.hpp"
 
+#if SANPERF_AUDIT_ENABLED
+#include <map>
+#include <string>
+#include <typeinfo>
+#endif
+
 namespace sanperf::des {
+
+#if SANPERF_AUDIT_ENABLED
+/// EventAction heap fallbacks since process start, keyed by the closure's
+/// type name (std::type_info::name). Audit builds only; thread-safe.
+[[nodiscard]] std::map<std::string, std::uint64_t> audit_heap_fallbacks();
+/// Sum of audit_heap_fallbacks() over every closure type.
+[[nodiscard]] std::uint64_t audit_heap_fallback_total();
+
+namespace detail {
+void audit_note_heap_fallback(const char* type);
+}  // namespace detail
+#endif
 
 /// Opaque handle identifying a scheduled event; usable to cancel it.
 /// Encodes (slot generation, slot index): a handle goes stale the moment
@@ -131,6 +151,7 @@ class EventAction {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
       vtable_ = inline_vtable<D>();
     } else {
+      SANPERF_AUDIT_ONLY(detail::audit_note_heap_fallback(typeid(D).name());)
       ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
       vtable_ = heap_vtable<D>();
     }

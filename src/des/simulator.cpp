@@ -74,9 +74,13 @@ void Simulator::run_until(TimePoint deadline) {
   if (now_ < deadline && !stopped_) now_ = deadline;
 }
 
-void Simulator::reset() {
+void Simulator::cancel_all() {
   heap_.clear();
   ladder_.clear();
+}
+
+void Simulator::reset() {
+  cancel_all();
   now_ = TimePoint::origin();
   processed_ = 0;
   stopped_ = false;

@@ -79,7 +79,12 @@ class Simulator {
   }
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
 
-  /// Clears all pending events and resets the clock to the origin.
+  /// Drops every pending event without running it; the clock stays.
+  void cancel_all();
+
+  /// Clears all pending events and resets the clock to the origin. Slab
+  /// capacity is kept, so a reset simulator schedules without allocating
+  /// up to its earlier high-water mark.
   void reset();
 
 #if SANPERF_AUDIT_ENABLED

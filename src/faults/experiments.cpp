@@ -4,7 +4,7 @@
 
 #include "consensus/ct_consensus.hpp"
 #include "consensus/mr_consensus.hpp"
-#include "core/workload.hpp"
+#include "core/one_shot.hpp"
 #include "faults/injector.hpp"
 #include "fd/failure_detector.hpp"
 #include "fd/heartbeat_fd.hpp"
@@ -15,17 +15,17 @@ namespace sanperf::faults {
 core::ExecOutcome run_fault_execution(core::Algorithm algorithm, std::size_t n,
                                       const net::NetworkParams& params,
                                       const net::TimerModel& timers, const FaultPlan& plan,
-                                      std::size_t k, std::uint64_t exec_seed) {
+                                      std::size_t k, std::uint64_t exec_seed,
+                                      core::WorkerScratch* scratch) {
   // One shared harness for plain, comparative and fault-injected isolated
-  // executions (core/exec_harness.hpp behind core::run_one_shot): the skew
-  // model, proposal schedule, decision capture and deadline cannot diverge.
-  core::WorkloadConfig cfg;
-  cfg.n = n;
-  cfg.network = params;
-  cfg.timers = timers;
-  cfg.algorithm = algorithm;
-  cfg.fault_plan = &plan;
-  return core::run_one_shot(cfg, k, exec_seed);
+  // executions (core/one_shot.hpp): the skew model, proposal schedule,
+  // decision capture and deadline cannot diverge.
+  core::OneShotShape shape;
+  shape.algorithm = algorithm;
+  shape.n = n;
+  shape.network = params;
+  shape.timers = timers;
+  return core::detail::run_one_consensus_execution(shape, -1, k, exec_seed, &plan, scratch);
 }
 
 core::MeasuredLatency measure_fault_latency(core::Algorithm algorithm, std::size_t n,
@@ -34,9 +34,11 @@ core::MeasuredLatency measure_fault_latency(core::Algorithm algorithm, std::size
                                             std::size_t executions, std::uint64_t seed,
                                             const core::ReplicationRunner& runner) {
   const des::SeedSplitter seeds{seed, "exec"};
-  return core::fold_latency_outcomes(runner.map(executions, [&](std::size_t k) {
-    return run_fault_execution(algorithm, n, params, timers, plan, k, seeds.stream_seed(k));
-  }));
+  return core::fold_latency_outcomes(
+      runner.map(executions, [&](std::size_t k, core::WorkerScratch& scratch) {
+        return run_fault_execution(algorithm, n, params, timers, plan, k, seeds.stream_seed(k),
+                                   &scratch);
+      }));
 }
 
 FaultClass3Run run_fault_class3(std::size_t n, const net::NetworkParams& params,

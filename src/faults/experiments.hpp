@@ -22,11 +22,13 @@ namespace sanperf::faults {
 /// of the fault campaigns; seeds come from SeedSplitter{seed, "exec"}).
 /// Hosts the plan crashes at or before t = 0 are pre-suspected by the
 /// static failure detector, exactly as in the paper's class-2 runs.
+/// `scratch` as for core::run_latency_execution.
 [[nodiscard]] core::ExecOutcome run_fault_execution(core::Algorithm algorithm, std::size_t n,
                                                     const net::NetworkParams& params,
                                                     const net::TimerModel& timers,
                                                     const FaultPlan& plan, std::size_t k,
-                                                    std::uint64_t exec_seed);
+                                                    std::uint64_t exec_seed,
+                                                    core::WorkerScratch* scratch = nullptr);
 
 /// Like core::measure_latency, but under a fault plan and with a
 /// selectable algorithm.

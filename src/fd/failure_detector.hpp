@@ -3,8 +3,11 @@
 // accurate detectors whose output never changes during a run.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "runtime/process.hpp"
 
@@ -31,16 +34,25 @@ class FailureDetector {
 /// models the complete-and-accurate detectors of class 2.
 class StaticFd : public runtime::Layer, public FailureDetector {
  public:
-  explicit StaticFd(std::set<HostId> suspected = {}) : suspected_{std::move(suspected)} {}
+  explicit StaticFd(const std::set<HostId>& suspected = {})
+      : suspected_(suspected.begin(), suspected.end()) {}
 
   [[nodiscard]] bool is_suspected(HostId peer) const override {
-    return suspected_.contains(peer);
+    return std::find(suspected_.begin(), suspected_.end(), peer) != suspected_.end();
   }
   void add_listener(SuspicionListener) override {}  // output never changes
   void on_message(const runtime::Message&) override {}
+  /// The suspicion set is configuration, not run state: reset keeps it.
+  void on_reset() override {}
+
+  /// Replaces the suspicion set between runs (e.g. after Cluster::reset);
+  /// reuses the storage.
+  void set_suspected(std::span<const HostId> suspected) {
+    suspected_.assign(suspected.begin(), suspected.end());
+  }
 
  private:
-  std::set<HostId> suspected_;
+  std::vector<HostId> suspected_;  // a handful of hosts at most: scanned
 };
 
 }  // namespace sanperf::fd

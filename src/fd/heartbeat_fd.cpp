@@ -42,13 +42,17 @@ void HeartbeatFd::send_heartbeat_round() {
   }
   ++heartbeats_sent_;
   // Thread-style sleep: subject to tick quantisation and stalls.
-  process().set_os_timer(params_.heartbeat_period, [this] { send_heartbeat_round(); });
+  const auto tick = [this] { send_heartbeat_round(); };
+  static_assert(runtime::Process::timer_fits_inline_v<decltype(tick)>);
+  process().set_os_timer(params_.heartbeat_period, tick);
 }
 
 void HeartbeatFd::arm_check(HostId peer, des::TimePoint nominal) {
   const des::Duration delay =
       nominal > process().now() ? nominal - process().now() : des::Duration::zero();
-  process().set_os_timer(delay, [this, peer] { check_timeout(peer); });
+  const auto check = [this, peer] { check_timeout(peer); };
+  static_assert(runtime::Process::timer_fits_inline_v<decltype(check)>);
+  process().set_os_timer(delay, check);
 }
 
 void HeartbeatFd::check_timeout(HostId peer) {

@@ -7,24 +7,34 @@
 // times Theta(n^2) AUX frames per consensus instance. The pool replaces
 // all of it with index-addressed parallel arrays: a frame is a slot index,
 // its fields live in columnar storage recycled through a free list, and a
-// FrameRef (pool pointer + index, 16 + 4 bytes) rides inside EventAction's
+// FrameRef (pool pointer + index, 16 bytes) rides inside EventAction's
 // inline buffer where shared_ptr<Packet> closures used to spill.
 //
 // A broadcast allocates ONE frame shared by all n-1 receivers (the body is
 // immutable after allocation), instead of n-1 bodies; the batched hub path
 // additionally records its fan-out list in the slot (bcast_dsts), whose
 // vector capacity is recycled with the slot.
+//
+// Ownership: the network owns its pool by value and outlives every frame.
+// Each FrameRef lives in the network's own server queues or in an event of
+// the network's simulator, and the network drops both before its pool dies
+// (~ContentionNetwork cancels the simulator's pending events; the server
+// members are destroyed before the pool). So a FrameRef holds a plain pool
+// pointer: copying one is an integer increment, not an atomic
+// shared_ptr reference count. Audit builds check that no frame is live when
+// the pool is destroyed ("net.frame_pool_drained").
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <new>
+#include <string>
 #include <type_traits>
 #include <typeinfo>
 #include <utility>
 #include <vector>
 
+#include "core/audit.hpp"
 #include "des/time.hpp"
 
 namespace sanperf::net {
@@ -155,6 +165,15 @@ class FramePool {
  public:
   using FrameIndex = std::uint32_t;
 
+  FramePool() = default;
+  FramePool(const FramePool&) = delete;
+  FramePool& operator=(const FramePool&) = delete;
+  FramePool(FramePool&&) = default;  ///< only while no frame is live
+  ~FramePool() {
+    SANPERF_AUDIT_CHECK("net.frame_pool_drained", live_ == 0,
+                        std::to_string(live_) + " frames still referenced at pool destruction");
+  }
+
   /// Creates a frame with one reference. The slot comes off the free list
   /// in steady state -- no allocation once the pool reaches its high-water
   /// mark (body payloads fitting FrameBody's inline buffer included).
@@ -178,6 +197,21 @@ class FramePool {
     bcast_dsts_.emplace_back();
     ++live_;
     return idx;
+  }
+
+  /// Creates free slots until the pool has `slots`, so that many frames in
+  /// flight at once never allocate (growth past it still works).
+  void reserve(std::size_t slots) {
+    while (refcnt_.size() < slots) {
+      const auto idx = static_cast<FrameIndex>(refcnt_.size());
+      src_.push_back(0);
+      sent_at_.emplace_back();
+      body_.emplace_back();
+      refcnt_.push_back(0);
+      next_free_.push_back(free_head_);
+      bcast_dsts_.emplace_back();
+      free_head_ = idx;
+    }
   }
 
   void add_ref(FrameIndex idx) { ++refcnt_[idx]; }
@@ -220,21 +254,18 @@ class FramePool {
 
 /// Shared handle to a pooled frame: pool pointer + slot index. Copying
 /// bumps the slot's reference count; the slot recycles when the last ref
-/// drops. Holds the pool itself alive so event actions queued in a
-/// simulator that outlives the network stay destructible.
+/// drops. The pool must outlive the handle (see the ownership note above).
 class FrameRef {
  public:
   FrameRef() noexcept = default;
   /// Adopts the initial reference allocate() created.
-  FrameRef(std::shared_ptr<FramePool> pool, FramePool::FrameIndex idx) noexcept
-      : pool_{std::move(pool)}, idx_{idx} {}
+  FrameRef(FramePool* pool, FramePool::FrameIndex idx) noexcept : pool_{pool}, idx_{idx} {}
 
   FrameRef(const FrameRef& other) : pool_{other.pool_}, idx_{other.idx_} {
-    if (pool_) pool_->add_ref(idx_);
+    if (pool_ != nullptr) pool_->add_ref(idx_);
   }
-  FrameRef(FrameRef&& other) noexcept : pool_{std::move(other.pool_)}, idx_{other.idx_} {
-    other.idx_ = 0;
-  }
+  FrameRef(FrameRef&& other) noexcept
+      : pool_{std::exchange(other.pool_, nullptr)}, idx_{other.idx_} {}
   FrameRef& operator=(const FrameRef& other) {
     FrameRef tmp{other};
     swap(tmp);
@@ -242,19 +273,18 @@ class FrameRef {
   }
   FrameRef& operator=(FrameRef&& other) noexcept {
     if (this != &other) {
-      if (pool_) pool_->release(idx_);
-      pool_ = std::move(other.pool_);
+      if (pool_ != nullptr) pool_->release(idx_);
+      pool_ = std::exchange(other.pool_, nullptr);
       idx_ = other.idx_;
-      other.idx_ = 0;
     }
     return *this;
   }
   ~FrameRef() {
-    if (pool_) pool_->release(idx_);
+    if (pool_ != nullptr) pool_->release(idx_);
   }
 
   void swap(FrameRef& other) noexcept {
-    pool_.swap(other.pool_);
+    std::swap(pool_, other.pool_);
     std::swap(idx_, other.idx_);
   }
 
@@ -271,7 +301,7 @@ class FrameRef {
   }
 
  private:
-  std::shared_ptr<FramePool> pool_;
+  FramePool* pool_ = nullptr;
   FramePool::FrameIndex idx_ = 0;
 };
 

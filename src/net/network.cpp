@@ -1,6 +1,6 @@
 #include "net/network.hpp"
 
-#include <memory>
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -17,24 +17,28 @@ F inline_action(F f) {
   return f;
 }
 
+/// Server queue depth whose storage is kept (see ChunkQueue): what one
+/// consensus round puts in the queue, capped so that large clusters do not
+/// pin storage for rare bursts.
+std::size_t queue_keep(std::size_t depth) { return std::min<std::size_t>(depth, 32); }
+
 }  // namespace
 
 void FifoServer::submit(des::Duration service, des::EventAction on_done, std::size_t weight) {
-  Job job{service, std::move(on_done), weight};
   if (busy_) {
-    waiting_.push_back(std::move(job));
+    waiting_.push_back(Job{service, std::move(on_done), weight});
   } else {
-    start(std::move(job));
+    start(service, std::move(on_done), weight);
   }
 }
 
-void FifoServer::start(Job job) {
+void FifoServer::start(des::Duration service, des::EventAction&& on_done, std::size_t weight) {
   busy_ = true;
   drop_current_ = false;
-  current_done_ = std::move(job.on_done);
-  current_weight_ = job.weight;
+  current_done_ = std::move(on_done);
+  current_weight_ = weight;
   service_start_ = sim_->now();
-  sim_->schedule(job.service, [this] { complete(); });
+  sim_->schedule(service, [this] { complete(); });
 }
 
 void FifoServer::complete() {
@@ -45,16 +49,16 @@ void FifoServer::complete() {
   busy_ = false;
   drop_current_ = false;
   if (!waiting_.empty()) {
-    Job next = std::move(waiting_.front());
+    Job& next = waiting_.front();
+    start(next.service, std::move(next.on_done), next.weight);
     waiting_.pop_front();
-    start(std::move(next));
   }
   if (!dropped && done) done();
 }
 
 std::size_t FifoServer::drain(bool drop_in_service) {
   std::size_t dropped = 0;
-  for (const Job& job : waiting_) dropped += job.weight;
+  for (std::size_t i = 0; i < waiting_.size(); ++i) dropped += waiting_[i].weight;
   waiting_.clear();
   if (drop_in_service && busy_ && !drop_current_) {
     drop_current_ = true;
@@ -63,13 +67,29 @@ std::size_t FifoServer::drain(bool drop_in_service) {
   return dropped;
 }
 
+void FifoServer::reset() {
+  waiting_.clear();
+  waiting_.keep_storage();
+  busy_ = false;
+  drop_current_ = false;
+  current_done_.reset();
+  current_weight_ = 0;
+  busy_time_ = des::Duration::zero();
+  service_start_ = des::TimePoint{};
+  served_ = 0;
+}
+
 HubMedium::HubMedium(des::Simulator& sim, des::RandomEngine rng, std::size_t hosts)
-    : sim_{&sim}, rng_{std::move(rng)}, queues_(hosts) {}
+    : sim_{&sim}, rng_{std::move(rng)} {
+  // A host's NIC queues at most one frame per peer in a broadcast round.
+  queues_.reserve(hosts);
+  for (std::size_t h = 0; h < hosts; ++h) queues_.emplace_back(queue_keep(hosts - 1));
+}
 
 void HubMedium::submit(HostId src, des::Duration service, des::EventAction on_done) {
   auto& queue = queues_.at(src);
   if (queue.empty()) ++ready_hosts_;
-  queue.push_back({service, std::move(on_done)});
+  queue.push_back(Frame{service, std::move(on_done)});
   ++backlog_;
   if (!busy_) start_next();
 }
@@ -81,14 +101,15 @@ void HubMedium::start_next() {
   auto k = rng_.uniform_int(0, static_cast<std::int64_t>(ready_hosts_) - 1);
   HostId winner = 0;
   while (queues_[winner].empty() || k-- > 0) ++winner;
-  Frame frame = std::move(queues_[winner].front());
-  queues_[winner].pop_front();
-  if (queues_[winner].empty()) --ready_hosts_;
+  ChunkQueue<Frame>& queue = queues_[winner];
+  const des::Duration service = queue.front().service;
+  current_done_ = std::move(queue.front().on_done);
+  queue.pop_front();
+  if (queue.empty()) --ready_hosts_;
   --backlog_;
   busy_ = true;
-  current_done_ = std::move(frame.on_done);
   service_start_ = sim_->now();
-  sim_->schedule(frame.service, [this] { complete(); });
+  sim_->schedule(service, [this] { complete(); });
 }
 
 void HubMedium::complete() {
@@ -100,13 +121,27 @@ void HubMedium::complete() {
   if (!busy_) start_next();  // `done` may have submitted and restarted
 }
 
+void HubMedium::reset(des::RandomEngine rng) {
+  rng_ = rng;
+  for (ChunkQueue<Frame>& queue : queues_) {
+    queue.clear();
+    queue.keep_storage();
+  }
+  backlog_ = 0;
+  ready_hosts_ = 0;
+  busy_ = false;
+  current_done_.reset();
+  busy_time_ = des::Duration::zero();
+  service_start_ = des::TimePoint{};
+  served_ = 0;
+}
+
 ContentionNetwork::ContentionNetwork(des::Simulator& sim, des::RandomEngine rng,
                                      NetworkParams params, std::size_t hosts,
                                      const topo::Topology* topology)
     : sim_{&sim},
       rng_{rng},
       params_{params},
-      pool_{std::make_shared<FramePool>()},
       medium_{sim, rng.substream("hub"), hosts} {
   if (hosts < 2) throw std::invalid_argument{"ContentionNetwork: need at least 2 hosts"};
   // The hub medium is constructed either way (its "hub" substream is derived
@@ -120,12 +155,52 @@ ContentionNetwork::ContentionNetwork(des::Simulator& sim, des::RandomEngine rng,
     }
     routes_.emplace(*topology);
     links_.reserve(routes_->link_count());
-    for (std::size_t i = 0; i < routes_->link_count(); ++i) links_.emplace_back(sim);
+    for (std::size_t i = 0; i < routes_->link_count(); ++i) {
+      links_.emplace_back(sim, queue_keep(hosts - 1));
+    }
   }
   cpus_.reserve(hosts);
-  for (std::size_t i = 0; i < hosts; ++i) cpus_.emplace_back(sim);
+  // A host CPU serves a round's sends and receives: up to 2 (n - 1) jobs.
+  for (std::size_t i = 0; i < hosts; ++i) cpus_.emplace_back(sim, queue_keep(2 * (hosts - 1)));
   down_.assign(hosts, 0);
   cpu_scale_.assign(hosts, 1.0);
+}
+
+ContentionNetwork::~ContentionNetwork() { sim_->cancel_all(); }
+
+void ContentionNetwork::reset(des::RandomEngine rng) {
+  if (!sim_->queue_empty()) {
+    throw std::logic_error{"ContentionNetwork::reset: the simulator still holds events"};
+  }
+  rng_ = rng;
+  medium_.reset(rng_.substream("hub"));
+  for (FifoServer& cpu : cpus_) cpu.reset();
+  for (Link& link : links_) {
+    link.server.reset();
+    link.entered = 0;
+    link.exited = 0;
+    link.overflow_dropped = 0;
+  }
+  SANPERF_AUDIT_CHECK("net.frame_pool_drained", pool_.live() == 0,
+                      std::to_string(pool_.live()) + " frames still referenced after a reset");
+  // A reset network is being reused: make room up front for the few frames
+  // per host a consensus round has in flight, as its queues do (keep_storage).
+  pool_.reserve(std::min<std::size_t>(4 * cpus_.size(), 256));
+  std::fill(down_.begin(), down_.end(), 0);
+  dead_pair_bits_.clear();  // re-materialised in place by the next dead pair
+  std::fill(cpu_scale_.begin(), cpu_scale_.end(), 1.0);
+  pipeline_scale_ = 1.0;
+  filter_ = nullptr;
+  frames_sent_ = 0;
+  frames_dropped_ = 0;
+  frames_filtered_ = 0;
+  frames_duplicated_ = 0;
+#if SANPERF_AUDIT_ENABLED
+  audit_delivered_ = 0;
+  audit_in_flight_ = 0;
+  audit_crash_lost_ = 0;
+  partition_oracle_ = nullptr;
+#endif
 }
 
 des::Duration ContentionNetwork::sample(const stats::BimodalUniform& dist) {
@@ -161,7 +236,7 @@ void ContentionNetwork::send(HostId src, HostId dst, FrameBody body, FrameClass 
   if (src == dst) throw std::invalid_argument{"ContentionNetwork::send: src == dst"};
   if (down_[src]) return;  // a crashed host emits nothing
 
-  FrameRef frame{pool_, pool_->allocate(src, sim_->now(), std::move(body))};
+  FrameRef frame{&pool_, pool_.allocate(src, sim_->now(), std::move(body))};
   ++frames_sent_;
   SANPERF_AUDIT_ONLY(++audit_in_flight_;)
 
@@ -208,7 +283,7 @@ void ContentionNetwork::broadcast(HostId src, FrameBody body, FrameClass cls) {
   }
   if (down_[src]) return;  // a crashed host emits nothing
   const auto n = static_cast<HostId>(cpus_.size());
-  FrameRef frame{pool_, pool_->allocate(src, sim_->now(), std::move(body))};
+  FrameRef frame{&pool_, pool_.allocate(src, sim_->now(), std::move(body))};
 
   if (!params_.batched_broadcast || routes_) {
     // Shared-body unicasts: per-receiver resource occupancy, RNG draw order

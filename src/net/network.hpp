@@ -13,10 +13,12 @@
 // dropped before consuming the destination CPU.
 //
 // Frame bookkeeping is pooled (see frame_pool.hpp): a frame in flight is a
-// slot index into columnar storage, closures carry a 24-byte FrameRef
+// slot index into columnar storage, closures carry a 16-byte FrameRef
 // inside EventAction's inline buffer, and a broadcast shares one pooled
 // body across all n-1 receivers -- the steady-state send path performs no
-// heap allocation.
+// heap allocation. Server queues keep their chunks (net/chunk_queue.hpp), and
+// reset() returns a built network to its just-constructed state without
+// freeing any of it, so a reused network allocates nothing at all.
 //
 // Routed mode: constructed with a multi-rack topo::Topology, step 4 is no
 // longer one shared hub but the frame's compiled route -- each link on the
@@ -30,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -40,6 +41,7 @@
 #include "core/audit.hpp"
 #include "des/random.hpp"
 #include "des/simulator.hpp"
+#include "net/chunk_queue.hpp"
 #include "net/frame_pool.hpp"
 #include "net/params.hpp"
 #include "topo/topology.hpp"
@@ -51,7 +53,10 @@ namespace sanperf::net {
 /// fires.
 class FifoServer {
  public:
-  explicit FifoServer(des::Simulator& sim) : sim_{&sim} {}
+  /// `queue_keep`: the queue depth whose storage the server keeps (see
+  /// ChunkQueue); deeper bursts borrow storage while they last.
+  explicit FifoServer(des::Simulator& sim, std::size_t queue_keep = 8)
+      : sim_{&sim}, waiting_{queue_keep} {}
 
   /// Enqueues a job with the given service time and completion action.
   /// `weight` is the number of frames the job stands for in conservation
@@ -72,18 +77,23 @@ class FifoServer {
   /// submitted work.
   std::size_t drain(bool drop_in_service);
 
+  /// Back to the just-constructed state: queued jobs and the in-service
+  /// completion are dropped unrun, counters zeroed, storage kept. The
+  /// simulator must no longer hold this server's completion event.
+  void reset();
+
  private:
   struct Job {
     des::Duration service;
     des::EventAction on_done;
-    std::size_t weight;
+    std::size_t weight = 0;
   };
 
-  void start(Job job);
+  void start(des::Duration service, des::EventAction&& on_done, std::size_t weight);
   void complete();
 
   des::Simulator* sim_;
-  std::deque<Job> waiting_;
+  ChunkQueue<Job> waiting_;
   bool busy_ = false;
   bool drop_current_ = false;
   des::EventAction current_done_;
@@ -110,6 +120,10 @@ class HubMedium {
   [[nodiscard]] des::Duration busy_time() const { return busy_time_; }
   [[nodiscard]] std::uint64_t frames_served() const { return served_; }
 
+  /// Back to the just-constructed state with arbitration drawing from
+  /// `rng`; like FifoServer::reset, storage is kept.
+  void reset(des::RandomEngine rng);
+
  private:
   struct Frame {
     des::Duration service;
@@ -121,7 +135,7 @@ class HubMedium {
 
   des::Simulator* sim_;
   des::RandomEngine rng_;
-  std::vector<std::deque<Frame>> queues_;  // per source host
+  std::vector<ChunkQueue<Frame>> queues_;  // per source host
   std::size_t backlog_ = 0;
   std::size_t ready_hosts_ = 0;  // hosts whose queue is non-empty
   bool busy_ = false;
@@ -139,6 +153,24 @@ class ContentionNetwork {
   /// compiled into a RouteTable at construction and not referenced after.
   ContentionNetwork(des::Simulator& sim, des::RandomEngine rng, NetworkParams params,
                     std::size_t hosts, const topo::Topology* topology = nullptr);
+  /// Cancels the simulator's pending events before the frame pool goes:
+  /// they may hold frames. `sim` is expected to die with the network.
+  ~ContentionNetwork();
+
+  ContentionNetwork(const ContentionNetwork&) = delete;
+  ContentionNetwork& operator=(const ContentionNetwork&) = delete;
+  /// Movable so a freshly built owner can be returned by value; the
+  /// simulator pointer and every in-flight frame would go stale, so move a
+  /// network only before it carries traffic.
+  ContentionNetwork(ContentionNetwork&&) = default;
+
+  /// Returns the network to its just-constructed state, drawing from `rng`
+  /// as a network constructed with it would: servers and queues empty, every
+  /// host up, dead pairs, scales, filter and counters cleared. The topology,
+  /// parameters and delivery callback stay, and so does all storage. The
+  /// simulator's queue must already be empty (Simulator::reset), since its
+  /// events may hold this network's frames; throws std::logic_error if not.
+  void reset(des::RandomEngine rng);
 
   /// Called at step 7 with the destination and the packet.
   void set_deliver(std::function<void(const Packet&)> deliver) { deliver_ = std::move(deliver); }
@@ -201,7 +233,7 @@ class ContentionNetwork {
   [[nodiscard]] des::Duration medium_busy_time() const { return medium_.busy_time(); }
   [[nodiscard]] const FifoServer& cpu(HostId h) const { return cpus_.at(h); }
   [[nodiscard]] const HubMedium& medium() const { return medium_; }
-  [[nodiscard]] const FramePool& frame_pool() const { return *pool_; }
+  [[nodiscard]] const FramePool& frame_pool() const { return pool_; }
 
   // Routed-mode introspection. `route_table()` is null in hub mode.
   [[nodiscard]] bool routed() const { return routes_.has_value(); }
@@ -293,7 +325,7 @@ class ContentionNetwork {
  private:
   /// One exclusive link of the routed path, with conservation counters.
   struct Link {
-    explicit Link(des::Simulator& sim) : server{sim} {}
+    explicit Link(des::Simulator& sim, std::size_t queue_keep) : server{sim, queue_keep} {}
     FifoServer server;
     std::uint64_t entered = 0;
     std::uint64_t exited = 0;
@@ -328,7 +360,9 @@ class ContentionNetwork {
   des::Simulator* sim_;
   des::RandomEngine rng_;
   NetworkParams params_;
-  std::shared_ptr<FramePool> pool_;
+  /// Declared before every member whose queues hold frames, so it is
+  /// destroyed after them.
+  FramePool pool_;
   std::vector<FifoServer> cpus_;
   HubMedium medium_;
   std::optional<topo::RouteTable> routes_;  ///< engaged iff multi-rack (routed mode)

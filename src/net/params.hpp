@@ -54,6 +54,8 @@ struct NetworkParams {
 
   [[nodiscard]] static NetworkParams defaults() { return {}; }
 
+  friend bool operator==(const NetworkParams&, const NetworkParams&) = default;
+
   /// Mean uncontended end-to-end delay of a unicast message (ms);
   /// e2e = send_cpu + wire + pipeline + recv_cpu. With the defaults this is
   /// 0.1415 ms on [0.10, 0.35], matching the paper's unicast fit
@@ -82,6 +84,8 @@ struct TimerModel {
   double p_huge_stall = 0.004;  ///< U[12, 45] ms
 
   [[nodiscard]] static TimerModel defaults() { return {}; }
+
+  friend bool operator==(const TimerModel&, const TimerModel&) = default;
   /// No quantisation, no stalls: ideal timers (useful in tests).
   [[nodiscard]] static TimerModel ideal() {
     return TimerModel{0.0, 0.0, 0.0, 0.0, 0.0};

@@ -31,6 +31,18 @@ void Cluster::recover_at(HostId id, des::TimePoint at) {
   sim_.schedule_at(at, [this, id] { processes_.at(id)->restart(); });
 }
 
+void Cluster::reset(std::uint64_t seed, int crashed) {
+  sim_.reset();  // first: pending events hold frames and process pointers
+  cfg_.seed = seed;
+  master_ = des::RandomEngine{seed};
+  net_.reset(master_.substream("net"));
+  for (std::size_t i = 0; i < processes_.size(); ++i) {
+    processes_[i]->reset(master_.substream("proc", i));
+  }
+  started_ = false;
+  if (crashed >= 0) crash_initially(static_cast<HostId>(crashed));
+}
+
 void Cluster::start_processes() {
   if (started_) return;
   started_ = true;

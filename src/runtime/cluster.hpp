@@ -38,7 +38,9 @@ class Cluster {
   [[nodiscard]] Process& process(HostId id) { return *processes_.at(id); }
   [[nodiscard]] const Process& process(HostId id) const { return *processes_.at(id); }
   [[nodiscard]] des::Simulator& sim() { return sim_; }
+  [[nodiscard]] const des::Simulator& sim() const { return sim_; }
   [[nodiscard]] net::ContentionNetwork& network() { return net_; }
+  [[nodiscard]] const net::ContentionNetwork& network() const { return net_; }
   [[nodiscard]] des::TimePoint now() const { return sim_.now(); }
   [[nodiscard]] const ClusterConfig& config() const { return cfg_; }
 
@@ -48,6 +50,15 @@ class Cluster {
   void crash_at(HostId id, des::TimePoint at);
   /// Schedules a warm restart of a crashed process (see Process::restart).
   void recover_at(HostId id, des::TimePoint at);
+
+  /// Returns the cluster to the state a Cluster built with `seed` and the
+  /// same configuration has once its layers are added: pending events
+  /// dropped, clock at the origin, network and processes reset (RNG
+  /// substreams re-derived from `seed`), every layer's on_reset run, and
+  /// host `crashed` crashed as by crash_initially (-1: none). Capacity is
+  /// kept, so a reset cluster runs again without allocating up to its
+  /// earlier high-water marks. Every layer must support on_reset.
+  void reset(std::uint64_t seed, int crashed = -1);
 
   /// Calls every process's on_start layers (idempotent) and runs events
   /// until `deadline`, the given predicate, or queue exhaustion.

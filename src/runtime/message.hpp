@@ -44,8 +44,8 @@ struct Message {
   std::int64_t value = 0;  ///< proposed/decided value (first batched value)
   /// Batched payload: the full value vector a consensus instance carries
   /// when an upstream Batcher packs several client values into one
-  /// instance (empty for unbatched protocol traffic; `value` always
-  /// mirrors the first entry when non-empty). The SAN model charges per
+  /// instance (empty when the payload is a single value, which `value`
+  /// alone carries; `value` always mirrors the first entry when non-empty). The SAN model charges per
   /// frame regardless of content, so batching amortises without changing
   /// the timing of any individual message.
   std::vector<std::int64_t> values;

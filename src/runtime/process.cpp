@@ -36,29 +36,23 @@ void Process::broadcast(Message m) {
   net_->broadcast(id_, std::move(m), cls);
 }
 
-TimerId Process::set_timer(des::Duration delay, std::function<void()> fn) {
-  return sim_->schedule(delay, [this, epoch = epoch_, fn = std::move(fn)] {
-    if (!crashed_ && epoch == epoch_) {
-      // A timer body must only ever run in the epoch it was armed in, on a
-      // live process -- the guard just established both.
-      SANPERF_AUDIT_CHECK("runtime.timer_epoch_guard", !crashed_ && epoch == epoch_);
-      fn();
-    } else {
-      SANPERF_AUDIT_ONLY(++audit_suppressed_;)
-    }
-  });
+void Layer::on_reset() {
+  throw std::logic_error{"Layer: this layer does not support Cluster::reset"};
 }
 
-TimerId Process::set_os_timer(des::Duration delay, std::function<void()> fn) {
-  const des::TimePoint actual = net::quantize_timer(timers_, sim_->now() + delay, rng_);
-  return sim_->schedule_at(actual, [this, epoch = epoch_, fn = std::move(fn)] {
-    if (!crashed_ && epoch == epoch_) {
-      SANPERF_AUDIT_CHECK("runtime.timer_epoch_guard", !crashed_ && epoch == epoch_);
-      fn();
-    } else {
-      SANPERF_AUDIT_ONLY(++audit_suppressed_;)
-    }
-  });
+bool Process::timer_live(std::uint64_t epoch) {
+  if (!crashed_ && epoch == epoch_) {
+    // A timer body must only ever run in the epoch it was armed in, on a
+    // live process -- this guard just established both.
+    SANPERF_AUDIT_CHECK("runtime.timer_epoch_guard", !crashed_ && epoch == epoch_);
+    return true;
+  }
+  SANPERF_AUDIT_ONLY(++audit_suppressed_;)
+  return false;
+}
+
+des::TimePoint Process::os_timer_expiry(des::Duration delay) {
+  return net::quantize_timer(timers_, sim_->now() + delay, rng_);
 }
 
 #if SANPERF_AUDIT_ENABLED
@@ -95,6 +89,16 @@ void Process::deliver(const Message& m) {
     l->on_message(m);
     if (crashed_) return;  // a layer may crash the process mid-delivery
   }
+}
+
+void Process::reset(des::RandomEngine rng) {
+  rng_ = rng;
+  crashed_ = false;
+  epoch_ = 0;
+  sent_ = 0;
+  received_ = 0;
+  SANPERF_AUDIT_ONLY(audit_suppressed_ = 0;)
+  for (auto& l : layers_) l->on_reset();
 }
 
 void Process::start() {

@@ -35,6 +35,13 @@ class Layer {
   /// state or running timer loops override it to re-initialise -- all
   /// timers armed before the crash are dead by then (see Process::crash).
   virtual void on_restart() {}
+  /// Called by Cluster::reset: return to the state right after construction
+  /// and configuration, before on_start -- run state goes, settings made
+  /// through the layer's setters stay, and so does storage, so a reset
+  /// layer runs again without allocating. on_start runs again afterwards.
+  /// The default throws std::logic_error: a layer that cannot be reset
+  /// must not be reused by accident.
+  virtual void on_reset();
 
   [[nodiscard]] Process& process() const { return *process_; }
 
@@ -85,11 +92,38 @@ class Process {
   /// the n=3 participant-crash anomaly of Section 5.3).
   void broadcast(Message m);
 
+  /// The event a timer schedules: `fn` behind the epoch guard, stored in
+  /// the event itself -- inline in EventAction's buffer when it fits.
+  template <typename F>
+  class TimerEvent {
+   public:
+    TimerEvent(Process* proc, F fn) : proc_{proc}, epoch_{proc->epoch_}, fn_{std::move(fn)} {}
+    void operator()() {
+      if (proc_->timer_live(epoch_)) fn_();
+    }
+
+   private:
+    Process* proc_;
+    std::uint64_t epoch_;
+    F fn_;
+  };
+  /// True when a timer running `F` is stored without allocating.
+  template <typename F>
+  static constexpr bool timer_fits_inline_v =
+      des::EventAction::fits_inline_v<TimerEvent<std::decay_t<F>>>;
+
   /// Event-driven timer with exact expiry (message-handler work).
-  TimerId set_timer(des::Duration delay, std::function<void()> fn);
+  template <typename F>
+  TimerId set_timer(des::Duration delay, F&& fn) {
+    return sim_->schedule(delay, TimerEvent<std::decay_t<F>>{this, std::forward<F>(fn)});
+  }
   /// Thread-style timer subject to the OS timer model (tick quantisation +
   /// stalls); used by the heartbeat sender.
-  TimerId set_os_timer(des::Duration delay, std::function<void()> fn);
+  template <typename F>
+  TimerId set_os_timer(des::Duration delay, F&& fn) {
+    return sim_->schedule_at(os_timer_expiry(delay),
+                             TimerEvent<std::decay_t<F>>{this, std::forward<F>(fn)});
+  }
   bool cancel_timer(TimerId id) { return sim_->cancel(id); }
 
   /// Crash-stop: the process stops sending, receiving and firing timers.
@@ -107,6 +141,10 @@ class Process {
   void deliver(const Message& m);
   /// Runs every layer's on_start.
   void start();
+  /// Back to the just-constructed state with `rng` as its stream: up, epoch
+  /// and counters zero, every layer's on_reset run. Used by Cluster::reset
+  /// once the simulator has dropped every pending event.
+  void reset(des::RandomEngine rng);
 
   [[nodiscard]] std::uint64_t messages_sent() const { return sent_; }
   [[nodiscard]] std::uint64_t messages_received() const { return received_; }
@@ -124,6 +162,11 @@ class Process {
 #endif
 
  private:
+  /// The epoch guard of TimerEvent: true when a timer armed in `epoch`
+  /// may run (counted as suppressed otherwise, in audit builds).
+  bool timer_live(std::uint64_t epoch);
+  [[nodiscard]] des::TimePoint os_timer_expiry(des::Duration delay);
+
   HostId id_;
   std::size_t n_;
   des::Simulator* sim_;

@@ -118,12 +118,9 @@ void SanModel::set_initial_tokens(PlaceId p, std::int32_t v) {
   touch();
 }
 
-Marking SanModel::initial_marking() const {
-  Marking m{places_.size()};
-  for (std::size_t p = 0; p < places_.size(); ++p) {
-    m.set(static_cast<PlaceId>(p), places_[p].initial);
-  }
-  return m;
+const Marking& SanModel::initial_marking() const {
+  if (caches_dirty_) build_caches();
+  return initial_;
 }
 
 void SanModel::validate() const {
@@ -209,10 +206,13 @@ void SanModel::build_caches() const {
   }
   caches_dirty_ = false;  // enabled() below reads the needs just built
 
-  const Marking initial = initial_marking();
+  initial_ = Marking{places_.size()};
+  for (std::size_t p = 0; p < places_.size(); ++p) {
+    initial_.set(static_cast<PlaceId>(p), places_[p].initial);
+  }
   initially_enabled_.clear();
   for (std::size_t a = 0; a < activities_.size(); ++a) {
-    if (enabled(static_cast<ActivityId>(a), initial)) {
+    if (enabled(static_cast<ActivityId>(a), initial_)) {
       initially_enabled_.push_back(static_cast<ActivityId>(a));
     }
   }

@@ -145,8 +145,9 @@ class SanModel {
   [[nodiscard]] const InputGate& in_gate(InputGateId g) const { return input_gates_[g]; }
   [[nodiscard]] const OutputGate& out_gate(OutputGateId g) const { return output_gates_[g]; }
 
-  /// The marking every simulation run starts from.
-  [[nodiscard]] Marking initial_marking() const;
+  /// The marking every simulation run starts from. Cached with the other
+  /// lazily built caches, so a simulator reset copies it in place.
+  [[nodiscard]] const Marking& initial_marking() const;
 
   // --- integrity -----------------------------------------------------------
   /// Checks structural invariants (case probabilities sum to 1, every
@@ -222,6 +223,7 @@ class SanModel {
   mutable std::vector<InputNeed> needs_;
   mutable std::vector<std::uint32_t> needs_begin_;
   mutable std::vector<ActivityId> initially_enabled_;
+  mutable Marking initial_;
 };
 
 }  // namespace sanperf::san

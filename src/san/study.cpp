@@ -20,8 +20,18 @@ TransientStudy::TransientStudy(const SanModel& model, std::function<bool(const M
 }
 
 std::optional<double> TransientStudy::run_one(des::RandomEngine rng) const {
-  SanSimulator sim{*model_, rng};
+  SanSimulator sim = make_simulator();
+  return run_one(rng, sim);
+}
+
+SanSimulator TransientStudy::make_simulator() const {
+  SanSimulator sim{*model_, des::RandomEngine{0}};
   sim.set_stop_predicate(stop_);
+  return sim;
+}
+
+std::optional<double> TransientStudy::run_one(des::RandomEngine rng, SanSimulator& sim) const {
+  sim.reset(rng);
   const RunResult res = sim.run(time_limit_);
   if (res.reason != StopReason::kPredicate && !keep_incomplete_) return std::nullopt;
   return reward_(sim, res);

@@ -56,6 +56,15 @@ class TransientStudy {
   /// state.
   [[nodiscard]] std::optional<double> run_one(des::RandomEngine rng) const;
 
+  /// A simulator of this study's model with its stop predicate set, for
+  /// the reusing run_one below.
+  [[nodiscard]] SanSimulator make_simulator() const;
+
+  /// run_one on `sim`, which must come from this study's make_simulator():
+  /// SanSimulator::reset(rng) and run. The reward equals run_one(rng)'s,
+  /// and in steady state the replication allocates nothing.
+  [[nodiscard]] std::optional<double> run_one(des::RandomEngine rng, SanSimulator& sim) const;
+
  private:
   const SanModel* model_;
   std::function<bool(const Marking&)> stop_;

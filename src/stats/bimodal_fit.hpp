@@ -23,6 +23,8 @@ struct BimodalUniform {
   [[nodiscard]] double mean() const;
   [[nodiscard]] double cdf(double x) const;
   [[nodiscard]] std::string to_string() const;  ///< e.g. "U[0.100,0.130]@0.80 + U[0.145,0.350]@0.20"
+
+  friend bool operator==(const BimodalUniform&, const BimodalUniform&) = default;
 };
 
 /// Fits a two-uniform mixture to a sample by exhaustive split search.
